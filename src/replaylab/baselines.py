@@ -5,40 +5,33 @@ the suite runner that trains, freezes, evaluates and reports every method.
 from __future__ import annotations
 
 import csv
+import glob
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import KNOWN_METHODS, RunConfig, ShieldParams
 from .deformation import DeformationSpec
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                        generate_graph, initial_state, stimulus_seed_set)
-from .harm_memory import FieldParams, HarmFields
-from .metrics import episode_metrics, welch_ttest
-from .policies import Policy
+                        initial_state, observe)
+from .harm_memory import FieldParams, HarmFields, attribute_harm, update_scar
+from .metrics import discounted_return, episode_metrics, replay_return, welch_ttest
+from .policies import Policy, field_features
 from .rng import substream
-from .rsd import RsdConfig, RsdEpisodeRecord, run_rsd_episode
+from .rsd import RsdEpisodeRecord, _frontier_regions, run_rsd_episode
 from .training import (Batch, TrainerState, dual_update, ss_penalty_update,
                        train_epoch)
 
 __all__ = [
     "MethodConfig", "method_config", "ShieldParams", "ShieldedPolicy",
     "shield_filter", "tune_shield_um", "run_method_suite", "MethodOutcome",
+    "read_records", "write_report",
 ]
-
-
-@dataclass(frozen=True)
-class ShieldParams:
-    theta: float = 10.0
-    n_mc: int = 20
-    horizon: int = 100
-
-    @property
-    def transitions_per_step(self) -> int:
-        return self.n_mc * self.horizon * 3
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,6 @@ class ShieldedPolicy:
         self.env_params = env_params
         self.field_params = field_params
         self.mc_rng = substream(mc_seed, 14)
-        self.transitions_simulated = 0
-        self.steps_filtered = 0
         self._state = None
         self._allowed_actions = None
 
@@ -170,13 +161,10 @@ class ShieldedPolicy:
         # one filter evaluation per environment step, reused by every
         # distribution query until the next bind
         self._state = state
-        allowed, sims = shield_filter(
+        self._allowed_actions, _ = shield_filter(
             state, self.graph, self.params.theta, self.params.n_mc,
             self.params.horizon, self.mc_rng, self.env_params,
             self.field_params)
-        self._allowed_actions = allowed
-        self.transitions_simulated += sims
-        self.steps_filtered += 1
 
     def action_distribution(self, obs, field_summary=None):
         if self._state is None:
@@ -240,44 +228,11 @@ def tune_shield_um(evaluate, target_replay_ret: float, tolerance: float = 0.05,
 # Training
 
 
-def _deform_for_mode(mode: str, cfg: RunConfig, graph: DiffusionGraph) -> DeformationSpec:
-    d = cfg.section("deformation")
-    kw = dict(w_G=d["w_g"], w_H=d["w_h"], psi_min=d["psi_min"])
-    if mode == "topk":
-        return DeformationSpec(mode="topk", k=d["topk_k"], **kw)
-    if mode == "local":
-        sens = np.flatnonzero(graph.sensitive)
-        hood = set(int(s) for s in sens)
-        for s in sens:
-            hood.update(graph._und_adj[int(s)])
-        return DeformationSpec(mode="local", local_regions=frozenset(hood), **kw)
-    return DeformationSpec(mode=mode, **kw)
-
-
-def _env_params(cfg: RunConfig) -> EnvParams:
-    e = cfg.section("env")
-    return EnvParams(k_seed=e["k_seed"], seed_pool=e["seed_pool"],
-                     refire=e["refire"], reward=e["reward"],
-                     action_costs=tuple(e["action_costs"]))
-
-
-def _field_params(cfg: RunConfig) -> FieldParams:
-    f = cfg.section("fields")
-    return FieldParams(lam=f["lam"], alpha=f["alpha"], eta=f["eta"],
-                       tau=f["tau"], delta=f["delta"], delay=f["delay"])
-
-
 def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> Policy:
     """Desk-scale PPO training for one method on one graph."""
-    from .policies import field_features
-    from .graph_env import observe
-    from .harm_memory import attribute_harm, update_scar
-    from .rsd import _frontier_regions
-
     tr_cfg = cfg.section("training")
-    env_params = _env_params(cfg)
-    field_params = _field_params(cfg)
-    deform = _deform_for_mode(mcfg.train_deform_mode, cfg, graph)
+    env_params = cfg.env_params
+    deform = cfg.deform(mcfg.train_deform_mode, graph)
     policy = Policy(kind="window" if mcfg.window > 1 else "softmax",
                     feature_mode=mcfg.feature_mode, window=mcfg.window,
                     seed=tr_cfg["seed"])
@@ -298,12 +253,12 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
         for _ in range(max(1, 2048 // ep_len)):
             z = stimuli[ep_index % len(stimuli)]
             ep_index += 1
-            fields = HarmFields.zeros(graph.node_count, field_params)
-            state = initial_state(graph, z, field_params.delay, stimulus_on=True)
+            fields = HarmFields.zeros(graph.node_count, cfg.field_params)
+            state = initial_state(graph, z, cfg.field_params.delay,
+                                  stimulus_on=True)
             policy.reset_memory()
             first = True
             trace = 0.0
-            pend = []
             for _ in range(ep_len):
                 obs = observe(state, graph, ep_len, env_params)
                 fs = None
@@ -337,7 +292,6 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
                 starts.append(first)
                 first = False
                 steps_done += 1
-            del pend
         batch = Batch(features=np.array(feats), actions=np.array(acts),
                       rewards=np.array(rews), g_sums=np.array(gsums),
                       h_increments=np.array(hincs),
@@ -371,80 +325,66 @@ def _episode_seed(master: int, graph_seed: int, ep_index: int) -> int:
     return ((master * 1000003 + graph_seed) * 1000003 + ep_index) % (2 ** 62)
 
 
-def _build_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig,
-                  checkpoints: dict) -> Policy:
-    tr = cfg.section("training")
-    if mcfg.shares_checkpoint_with and mcfg.shares_checkpoint_with in checkpoints:
-        return Policy.from_json(checkpoints[mcfg.shares_checkpoint_with]).freeze()
-    if tr["enabled"]:
-        key = mcfg.shares_checkpoint_with or mcfg.method
-        if key in checkpoints:
-            return Policy.from_json(checkpoints[key]).freeze()
-        pol = train_policy(method_config(key) if key != mcfg.method else mcfg,
-                           graph, cfg)
-        checkpoints[key] = pol.to_json(training_config_hash=cfg.hash())
-        return Policy.from_json(checkpoints[key]).freeze()
-    action = {"moderate": Action.MODERATE, "aggressive": Action.AGGRESSIVE,
-              "conservative": Action.CONSERVATIVE}[tr["scripted_fallback"]]
-    pol = Policy(kind="scripted", feature_mode=mcfg.feature_mode,
-                 scripted_action=int(action))
+def _checkpoint(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig,
+                checkpoints: dict) -> str:
+    """The checkpoint JSON a method evaluates, made on first use: trained
+    when training is enabled, else the scripted fallback."""
     key = mcfg.shares_checkpoint_with or mcfg.method
-    checkpoints.setdefault(key, pol.to_json(training_config_hash=cfg.hash()))
-    return Policy.from_json(checkpoints[key]).freeze() \
-        if mcfg.shares_checkpoint_with else pol.freeze()
+    if key not in checkpoints:
+        if cfg.section("training")["enabled"]:
+            pol = train_policy(method_config(key), graph, cfg)
+        else:
+            pol = Policy(kind="scripted", feature_mode=mcfg.feature_mode,
+                         scripted_action=cfg.scripted_action)
+        checkpoints[key] = pol.to_json(training_config_hash=cfg.hash())
+    return checkpoints[key]
 
 
 def _run_episode_task(args):
-    (cfg_raw, mcfg, checkpoint_json, graph_json, ep_index, z) = args
-    cfg = RunConfig(raw=cfg_raw)
-    graph = DiffusionGraph.from_json(graph_json)
-    env_params = _env_params(cfg)
-    field_params = _field_params(cfg)
+    cfg, mcfg, checkpoint_json, graph, ep_index, z = args
+    seed = _episode_seed(cfg["master_seed"], graph.seed, ep_index)
     policy = Policy.from_json(checkpoint_json).freeze()
     if mcfg.shield is not None:
-        seed = _episode_seed(cfg["master_seed"], graph.seed, ep_index)
-        policy = ShieldedPolicy(policy, graph, mcfg.shield, env_params,
-                                field_params, seed)
-    deform = _deform_for_mode(mcfg.eval_deform_mode, cfg, graph)
-    rsd_raw = cfg.section("rsd")
-    rsd_cfg = RsdConfig(
-        t_exp=rsd_raw["t_exp"], t_decay=rsd_raw["t_decay"],
-        t_rep=rsd_raw["t_rep"], z=z, rng_mode=rsd_raw["rng_mode"],
-        replay_deformation=mcfg.replay_deformation,
-        truncate_buffer=rsd_raw["truncate_buffer"],
-        gamma=cfg.section("training")["gamma"],
-    )
-    fields = HarmFields.zeros(graph.node_count, field_params)
-    seed = _episode_seed(cfg["master_seed"], graph.seed, ep_index)
-    record = run_rsd_episode(rsd_cfg, policy, graph, fields, deform, seed,
-                             env_params)
-    sims = policy.transitions_simulated if isinstance(policy, ShieldedPolicy) else 0
-    return ep_index, record, sims
+        policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
+                                cfg.field_params, seed)
+    rsd_cfg = replace(cfg.rsd_config, z=z,
+                      replay_deformation=mcfg.replay_deformation)
+    fields = HarmFields.zeros(graph.node_count, cfg.field_params)
+    return run_rsd_episode(rsd_cfg, policy, graph, fields,
+                           cfg.deform(mcfg.eval_deform_mode, graph), seed,
+                           cfg.env_params)
 
 
 def run_method_episodes(cfg: RunConfig, mcfg: MethodConfig,
                         checkpoint_json: str, graph: DiffusionGraph,
-                        theta_override: float | None = None):
-    """All episodes of one method on one graph, deterministic in seed order."""
+                        theta_override: float | None = None) -> list:
+    """All episodes of one method on one graph, in episode order."""
     if theta_override is not None and mcfg.shield is not None:
         mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta_override))
     stimuli = cfg.section("rsd")["stimuli"]
-    tasks = []
-    graph_json = graph.to_json()
-    for ep in range(cfg["episodes"]):
-        z = stimuli[ep % len(stimuli)]
-        tasks.append((cfg.raw, mcfg, checkpoint_json, graph_json, ep, z))
-    workers = cfg["workers"]
-    if workers > 1:
+    tasks = [(cfg, mcfg, checkpoint_json, graph, ep, stimuli[ep % len(stimuli)])
+             for ep in range(cfg["episodes"])]
+    if cfg["workers"] > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_episode_task, tasks))
-    else:
-        results = [_run_episode_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    records = [r[1] for r in results]
-    sims = sum(r[2] for r in results)
-    return records, sims
+        with ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
+            return list(ex.map(_run_episode_task, tasks))
+    return [_run_episode_task(t) for t in tasks]
+
+
+def _report_methods(cfg: RunConfig) -> list:
+    """The report's rows in config order; GE, the ReplayRet reference,
+    always runs."""
+    methods = list(cfg["methods"])
+    return methods if "ge" in methods else ["ge"] + methods
+
+
+def _ge_reference(records, gamma: float) -> dict:
+    """Mean GE replay-phase discounted return per graph seed."""
+    by_seed: dict[int, list] = {}
+    for rec in records:
+        by_seed.setdefault(rec.graph_seed, []).append(
+            discounted_return(rec.phases["replay"].rewards, gamma))
+    return {s: float(np.mean(v)) for s, v in by_seed.items()}
 
 
 def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
@@ -453,22 +393,7 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     Returns a manifest dict; writes JSONL records, checkpoints, and the
     Table-1-shaped CSV under `out_dir`.
     """
-    methods = list(cfg["methods"])
-    # GE is the ReplayRet reference and is always evaluated
-    eval_methods = methods if "ge" in methods else ["ge"] + methods
-    shield_cfg = cfg.section("shield")
-    shield_params = ShieldParams(theta=shield_cfg["theta"],
-                                 n_mc=shield_cfg["n_mc"],
-                                 horizon=shield_cfg["horizon"])
-    graphs = [
-        generate_graph(cfg.section("graph")["nodes"],
-                       cfg.section("graph")["branching"], gseed,
-                       sens_fraction=cfg.section("graph")["sens_frac"],
-                       locality=cfg.section("graph")["locality"],
-                       local_span=cfg.section("graph")["local_span"],
-                       sens_style=cfg.section("graph")["sens_style"])
-        for gseed in cfg.section("graph")["seeds"]
-    ]
+    graphs = [cfg.graph(seed) for seed in cfg.section("graph")["seeds"]]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
         fh.write(cfg.snapshot())
@@ -476,68 +401,42 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     checkpoints: dict[str, str] = {}
     outcomes: dict[str, MethodOutcome] = {}
     ge_reference: dict[int, float] = {}
-    rapo_replay_ret: float | None = None
-
-    ordered = sorted(set(eval_methods),
-                     key=lambda m: (_METHOD_ORDER.index(m), m))
-    for method in ordered:
-        mcfg = method_config(method, shield=shield_params
-                             if method in ("shield", "shield_um") else None)
-        outcome = MethodOutcome(method=method)
+    for method in sorted(set(_report_methods(cfg)), key=KNOWN_METHODS.index):
+        mcfg = method_config(method, shield=cfg.shield_params)
+        outcome = outcomes[method] = MethodOutcome(method=method)
         theta_override = None
         if method == "shield_um":
-            if rapo_replay_ret is None:
+            if "rapo" not in outcomes:
                 raise ProtocolError(
                     "shield_um requires a completed rapo run for its target")
-            theta_override = _tune_um_threshold(cfg, mcfg, checkpoints,
-                                                graphs, ge_reference,
-                                                rapo_replay_ret,
-                                                shield_cfg["um_tolerance"],
-                                                outcome)
+            target = float(np.mean([replay_return(r, ge_reference[r.graph_seed])
+                                    for r in outcomes["rapo"].records]))
+            theta_override = _tune_um_threshold(
+                cfg, mcfg, checkpoints, graphs[0],
+                ge_reference[graphs[0].seed], target, outcome)
         for graph in graphs:
-            policy = _build_policy(mcfg, graph, cfg, checkpoints)
-            ckpt_key = mcfg.shares_checkpoint_with or method
-            ckpt_json = checkpoints[ckpt_key]
-            records, sims = run_method_episodes(cfg, mcfg, ckpt_json, graph,
-                                                theta_override)
-            if method == "ge":
-                from .metrics import discounted_return
-                gamma = cfg.section("training")["gamma"]
-                rets = [discounted_return(r.phases["replay"].rewards, gamma)
-                        for r in records]
-                ge_reference[graph.seed] = float(np.mean(rets))
-            ref = ge_reference.get(graph.seed)
-            for rec in records:
-                outcome.records.append(rec)
-                m = episode_metrics(rec, ge_reference=ref)
-                m["graph_seed"] = graph.seed
-                outcome.metrics.append(m)
-            if sims:
-                steps = (cfg.section("rsd")["t_exp"]
-                         + cfg.section("rsd")["t_decay"]
-                         + cfg.section("rsd")["t_rep"]) * len(records)
-                outcome.transitions_per_step = sims // steps
+            outcome.checkpoint_json = _checkpoint(mcfg, graph, cfg, checkpoints)
+            records = run_method_episodes(cfg, mcfg, outcome.checkpoint_json,
+                                          graph, theta_override)
+            outcome.records += records
             _write_records(out_dir, cfg["run_id"], method, graph.seed, records)
-        outcome.checkpoint_json = checkpoints.get(
-            mcfg.shares_checkpoint_with or method, "")
-        outcomes[method] = outcome
-        if method == "rapo":
-            vals = [m["replay_ret"] for m in outcome.metrics
-                    if "replay_ret" in m]
-            rapo_replay_ret = float(np.mean(vals)) if vals else None
+        if method == "ge":
+            ge_reference = _ge_reference(outcome.records, cfg.rsd_config.gamma)
 
     csv_path = os.path.join(out_dir, "report.csv")
-    _write_report_csv(csv_path, cfg, eval_methods, outcomes)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        write_report(fh, cfg, outcomes)
     manifest = {
         "run_id": cfg["run_id"],
         "config_hash": cfg.hash(),
         "graph_seeds": [g.seed for g in graphs],
         "episodes_per_graph": cfg["episodes"],
-        "methods": {m: "ok" for m in eval_methods},
+        "methods": {m: "ok" for m in _report_methods(cfg)},
         "outputs": {"report": csv_path,
                     "records_root": os.path.join(out_dir, cfg["run_id"])},
         "checkpoint_hashes": {
-            m: _ckpt_hash(o.checkpoint_json) for m, o in outcomes.items()},
+            m: hashlib.sha256(o.checkpoint_json.encode()).hexdigest()
+            for m, o in outcomes.items()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -545,47 +444,99 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     return manifest
 
 
-_METHOD_ORDER = ["ge", "ss", "dr", "shield", "pm_st", "pm_window",
-                 "rapo", "rapo_off_rep", "rapo_topk", "rapo_local",
-                 "shield_um"]
-
-
-def _ckpt_hash(text: str) -> str:
-    import hashlib
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _tune_um_threshold(cfg, mcfg, checkpoints, graphs, ge_reference,
-                       target, tolerance, outcome) -> float:
+def _tune_um_threshold(cfg: RunConfig, mcfg: MethodConfig, checkpoints: dict,
+                       graph: DiffusionGraph, ge_ref: float, target: float,
+                       outcome: MethodOutcome) -> float:
     """Tune the shield threshold on held-out episodes to match RAPO's
     replay return."""
-    from .metrics import discounted_return
-    gamma = cfg.section("training")["gamma"]
-    graph = graphs[0]
-    held_cfg = RunConfig(raw={**cfg.raw,
-                              "episodes": max(2, cfg["episodes"] // 2),
-                              "master_seed": cfg["master_seed"] + 7919})
-    policy = _build_policy(mcfg, graph, cfg, checkpoints)
-    ckpt = checkpoints[mcfg.shares_checkpoint_with or mcfg.method]
-    ref = ge_reference.get(graph.seed, 1.0)
+    held_cfg = cfg.derive({"episodes": max(2, cfg["episodes"] // 2),
+                           "master_seed": cfg["master_seed"] + 7919})
+    ckpt = _checkpoint(mcfg, graph, cfg, checkpoints)
+    gamma = cfg.rsd_config.gamma
 
     def evaluate(theta):
-        records, _ = run_method_episodes(held_cfg, mcfg, ckpt, graph, theta)
-        rets = [discounted_return(r.phases["replay"].rewards, gamma) / ref
-                for r in records]
-        return float(np.mean(rets))
+        records = run_method_episodes(held_cfg, mcfg, ckpt, graph, theta)
+        return float(np.mean([
+            discounted_return(r.phases["replay"].rewards, gamma) / ge_ref
+            for r in records]))
 
-    theta, achieved, diag = tune_shield_um(evaluate, target, tolerance)
-    outcome_diag = {"theta": theta, "achieved": achieved,
-                    "target": target, "diagnostic": diag}
-    outcome.metrics_diag = outcome_diag
+    theta, achieved, diag = tune_shield_um(
+        evaluate, target, cfg.section("shield")["um_tolerance"])
+    outcome.metrics_diag = {"theta": theta, "achieved": achieved,
+                            "target": target, "diagnostic": diag}
     return theta
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def read_records(cfg: RunConfig, run_dir: str) -> dict:
+    """The records a run of `cfg` wrote under `run_dir`, per method.
+
+    A record file that cannot be read or parsed is a ConfigError naming it.
+    """
+    root = os.path.join(run_dir, cfg["run_id"])
+    if not os.path.isdir(root):
+        raise ConfigError(f"no records under {root}")
+    seeds = set(cfg.section("graph")["seeds"])
+    outcomes = {}
+    for method in dict.fromkeys(_report_methods(cfg)):
+        for path in glob.glob(os.path.join(root, method, "*", "*.jsonl")):
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    recs = [RsdEpisodeRecord.from_dict(json.loads(line))
+                            for line in fh]
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"malformed record file {path}: {exc}") from None
+            if any(r.graph_seed not in seeds or not isinstance(r.episode_seed, int)
+                   for r in recs):
+                raise ConfigError(f"malformed record file {path}: its graph "
+                                  "or episode seed does not fit the run")
+            outcomes.setdefault(method, MethodOutcome(method=method)).records += recs
+    return outcomes
+
+
+def write_report(fh, cfg: RunConfig, outcomes: dict) -> None:
+    """Score every record and write the Table-1-shaped CSV to `fh`.
+
+    Records are first put in one order, configured graph seed then episode
+    index, so a run and a report recomputed from its files agree bit for
+    bit. Each record is scored against the GE reference of its graph.
+    """
+    pos = {seed: i for i, seed in enumerate(cfg.section("graph")["seeds"])}
+
+    def order(rec):
+        first = _episode_seed(cfg["master_seed"], rec.graph_seed, 0)
+        return pos[rec.graph_seed], (rec.episode_seed - first) % (2 ** 62)
+
+    for o in outcomes.values():
+        o.records.sort(key=order)
+    ge_ref = _ge_reference(outcomes["ge"].records, cfg.rsd_config.gamma) \
+        if "ge" in outcomes else {}
+    for o in outcomes.values():
+        o.metrics = [{**episode_metrics(r, ge_reference=ge_ref.get(r.graph_seed)),
+                      "graph_seed": r.graph_seed} for r in o.records]
+        if method_config(o.method).shield is not None:
+            o.transitions_per_step = cfg.shield_params.transitions_per_step
+
+    pmst_rags = None
+    if "pm_st" in outcomes:
+        pmst_rags = [m["rag"] for m in outcomes["pm_st"].metrics]
+    rows = []
+    for method in _report_methods(cfg):
+        if method not in outcomes:
+            continue
+        o = outcomes[method]
+        groups = {}
+        for m in o.metrics:
+            groups.setdefault(m["graph_seed"], []).append(m)
+        if len(groups) > 1:
+            for gseed in sorted(groups):
+                rows.append(_report_row(method, gseed, groups[gseed], "", o))
+        p_val = ""
+        if pmst_rags is not None and method != "pm_st" and o.metrics:
+            p_val = str(welch_ttest([m["rag"] for m in o.metrics], pmst_rags)[1])
+        rows.append(_report_row(method, "all", o.metrics, p_val, o))
+    writer = csv.writer(fh)
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(rows)
 
 
 REPORT_COLUMNS = [
@@ -596,40 +547,12 @@ REPORT_COLUMNS = [
 ]
 
 
-def _write_report_csv(path: str, cfg: RunConfig, methods, outcomes) -> None:
-    pmst_rags = None
-    if "pm_st" in outcomes:
-        pmst_rags = [m["rag"] for m in outcomes["pm_st"].metrics]
-    rows = []
-    for method in methods:
-        if method not in outcomes:
-            continue
-        o = outcomes[method]
-        groups = {}
-        for m in o.metrics:
-            groups.setdefault(m["graph_seed"], []).append(m)
-        if len(groups) > 1:
-            for gseed in sorted(groups):
-                rows.append(_report_row(method, gseed, groups[gseed], None, o))
-        p_val = ""
-        if pmst_rags is not None and method != "pm_st" and o.metrics:
-            _, p = welch_ttest([m["rag"] for m in o.metrics], pmst_rags)
-            p_val = p
-        rows.append(_report_row(method, "all", o.metrics, p_val, o))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(rows)
-
-
 def _report_row(method, gseed, metrics, p_val, outcome):
-    import math
-
     def col(key, reducer):
         vals = [m[key] for m in metrics
                 if key in m and not (isinstance(m[key], float)
                                      and math.isnan(m[key]))]
-        return _fmt(float(reducer(vals))) if vals else ""
+        return str(float(reducer(vals))) if vals else ""
 
     return [
         method, str(gseed), str(len(metrics)),
@@ -639,7 +562,7 @@ def _report_row(method, gseed, metrics, p_val, outcome):
         col("replay_ret", np.mean), col("asd", np.mean),
         col("odds_ratio_mean", np.mean),
         col("rc_exp", np.mean), col("rc_rep", np.mean),
-        _fmt(p_val) if p_val != "" and p_val is not None else "",
+        p_val,
         str(outcome.transitions_per_step),
     ]
 

@@ -8,22 +8,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .baselines import method_config, run_method_suite, train_policy
-from .config import RunConfig, load_config
-from .deformation import DeformationSpec
+from .baselines import (method_config, read_records, run_method_suite,
+                        train_policy, write_report)
+from .config import RunConfig, checked, load_config
 from .errors import ConfigError, ProtocolError
-from .graph_env import DiffusionGraph, EnvParams, generate_graph
-from .harm_memory import FieldParams, HarmFields
-from .metrics import discounted_return, episode_metrics
+from .graph_env import N_STIMULI, DiffusionGraph, generate_graph
+from .harm_memory import HarmFields
+from .metrics import episode_metrics
 from .policies import Policy
-from .rsd import RsdConfig, RsdEpisodeRecord, run_rsd_episode
+from .rsd import run_rsd_episode
 
 __all__ = ["main", "build_parser"]
 
@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--graph", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", default="{}")
-    e.add_argument("--z", type=int, default=1)
+    e.add_argument("--z", type=int, default=1,
+                   choices=range(1, N_STIMULI + 1), metavar="Z")
     e.add_argument("--episode-seed", type=int, default=0)
     e.add_argument("--rng-mode", choices=["independent", "paired"],
                    default="independent")
@@ -79,23 +80,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _env_params_from(cfg: RunConfig) -> EnvParams:
-    e = cfg.section("env")
-    return EnvParams(k_seed=e["k_seed"], seed_pool=e["seed_pool"],
-                     refire=e["refire"], reward=e["reward"],
-                     action_costs=tuple(e["action_costs"]))
+def _user_config(source) -> RunConfig:
+    """The user's config; REPLAYLAB_SEED, if set, overrides its master seed."""
+    seed = os.environ.get("REPLAYLAB_SEED")
+    try:
+        overrides = None if seed is None else {"master_seed": int(seed)}
+    except ValueError:
+        raise ConfigError("REPLAYLAB_SEED must be an integer") from None
+    return load_config(source, overrides)
 
 
-def _field_params_from(cfg: RunConfig) -> FieldParams:
-    f = cfg.section("fields")
-    return FieldParams(lam=f["lam"], alpha=f["alpha"], eta=f["eta"],
-                       tau=f["tau"], delta=f["delta"], delay=f["delay"])
+def _read_input(path: str, parse):
+    """Parse one input file; a file that cannot be read or parsed is a
+    ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_gen_graph(args) -> int:
-    graph = generate_graph(args.nodes, args.branching, args.seed,
-                           sens_fraction=args.sens_frac,
-                           locality=args.locality)
+    graph = checked("gen-graph", generate_graph, args.nodes, args.branching,
+                    args.seed, sens_fraction=args.sens_frac,
+                    locality=args.locality)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(graph.to_json())
     print(f"wrote graph ({graph.node_count} nodes, "
@@ -105,13 +113,9 @@ def cmd_gen_graph(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    mcfg = method_config(args.method)
-    g = cfg.section("graph")
-    graph = generate_graph(g["nodes"], g["branching"], g["seeds"][0],
-                           sens_fraction=g["sens_frac"],
-                           locality=g["locality"])
-    pol = train_policy(mcfg, graph, cfg)
+    cfg = _user_config(args.config)
+    graph = cfg.graph(cfg.section("graph")["seeds"][0])
+    pol = train_policy(method_config(args.method), graph, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(pol.to_json(training_config_hash=cfg.hash()))
     print(f"wrote checkpoint to {args.out}")
@@ -119,27 +123,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_rsd_eval(args) -> int:
-    cfg = load_config(args.config)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph = DiffusionGraph.from_json(fh.read())
-    with open(args.checkpoint, "r", encoding="utf-8") as fh:
-        policy = Policy.from_json(fh.read()).freeze()
-    d = cfg.section("deformation")
-    deform = DeformationSpec(w_G=d["w_g"], w_H=d["w_h"],
-                             psi_min=d["psi_min"], mode=args.deform_mode,
-                             k=d["topk_k"],
-                             local_regions=frozenset(
-                                 int(x) for x in graph.sensitive_nodes)
-                             if args.deform_mode == "local" else frozenset())
-    r = cfg.section("rsd")
-    rsd_cfg = RsdConfig(t_exp=r["t_exp"], t_decay=r["t_decay"],
-                        t_rep=r["t_rep"], z=args.z, rng_mode=args.rng_mode,
-                        replay_deformation=args.replay_deformation,
-                        truncate_buffer=r["truncate_buffer"],
-                        gamma=cfg.section("training")["gamma"])
-    fields = HarmFields.zeros(graph.node_count, _field_params_from(cfg))
-    record = run_rsd_episode(rsd_cfg, policy, graph, fields, deform,
-                             args.episode_seed, _env_params_from(cfg))
+    cfg = _user_config(args.config)
+    if args.episode_seed < 0:
+        raise ConfigError("--episode-seed must be >= 0")
+    graph = _read_input(args.graph, DiffusionGraph.from_json)
+    policy = _read_input(args.checkpoint, Policy.from_json).freeze()
+    rsd_cfg = replace(cfg.rsd_config, z=args.z, rng_mode=args.rng_mode,
+                      replay_deformation=args.replay_deformation)
+    fields = HarmFields.zeros(graph.node_count, cfg.field_params)
+    record = run_rsd_episode(rsd_cfg, policy, graph, fields,
+                             cfg.deform(args.deform_mode, graph),
+                             args.episode_seed, cfg.env_params)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record.to_dict()) + "\n")
     m = episode_metrics(record)
@@ -149,23 +143,20 @@ def cmd_rsd_eval(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    manifest = run_method_suite(cfg, args.out_dir)
+    manifest = run_method_suite(_user_config(args.config), args.out_dir)
     print(f"run {manifest['run_id']} complete; "
           f"report at {manifest['outputs']['report']}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    base = load_config(args.config)
+    base = _user_config(args.config)
     rows = []
     for w_h in sorted(args.w_h):
         for eta in sorted(args.eta):
-            raw = json.loads(json.dumps(base.raw))
-            raw["deformation"]["w_h"] = w_h
-            raw["fields"]["eta"] = eta
-            raw["methods"] = [args.method]
-            cfg = RunConfig(raw=raw)
+            cfg = base.derive({"deformation": {"w_h": w_h},
+                               "fields": {"eta": eta},
+                               "methods": [args.method]})
             out_dir = os.path.join(
                 os.path.dirname(args.out) or ".",
                 f"sweep_wh{w_h}_eta{eta}")
@@ -187,44 +178,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .baselines import MethodOutcome, _write_report_csv
-    cfg_path = os.path.join(args.run_dir, "config.json")
-    if not os.path.exists(cfg_path):
-        raise ConfigError(f"no config.json under {args.run_dir}")
-    cfg = load_config(cfg_path)
-    root = os.path.join(args.run_dir, cfg["run_id"])
-    if not os.path.isdir(root):
-        raise ConfigError(f"no records under {root}")
-    gamma = cfg.section("training")["gamma"]
-    records: dict[str, list] = {}
-    for path in sorted(glob.glob(os.path.join(root, "*", "*", "*.jsonl"))):
-        method = os.path.relpath(path, root).split(os.sep)[0]
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                records.setdefault(method, []).append(
-                    RsdEpisodeRecord.from_dict(json.loads(line)))
-    by_seed: dict[int, list] = {}
-    for rec in records.get("ge", []):
-        by_seed.setdefault(rec.graph_seed, []).append(
-            discounted_return(rec.phases["replay"].rewards, gamma))
-    ge_ref = {s: float(np.mean(v)) for s, v in by_seed.items()}
-    outcomes = {}
-    for method, recs in records.items():
-        o = MethodOutcome(method=method)
-        for rec in recs:
-            m = episode_metrics(rec, ge_reference=ge_ref.get(rec.graph_seed))
-            m["graph_seed"] = rec.graph_seed
-            o.metrics.append(m)
-        outcomes[method] = o
-    out = args.out
-    tmp = out if out != "-" else os.path.join(args.run_dir, ".report_tmp.csv")
-    _write_report_csv(tmp, cfg, sorted(records), outcomes)
-    if out == "-":
-        with open(tmp, "r", encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
-        os.remove(tmp)
-    else:
-        print(f"wrote report to {out}")
+    # the run's own snapshot: REPLAYLAB_SEED was applied when it was written
+    cfg = _read_input(os.path.join(args.run_dir, "config.json"), load_config)
+    outcomes = read_records(cfg, args.run_dir)
+    if args.out == "-":
+        write_report(sys.stdout, cfg, outcomes)
+        return 0
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        write_report(fh, cfg, outcomes)
+    print(f"wrote report to {args.out}")
     return 0
 
 

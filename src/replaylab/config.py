@@ -1,20 +1,28 @@
-"""Run configuration: schema, defaults, validation, hashing."""
+"""Run configuration: schema, defaults, validation, hashing, and the one
+place that turns a config into the typed objects every entry point uses."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
+from .deformation import DeformationSpec
 from .errors import ConfigError
+from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvParams,
+                        check_graph_args, generate_graph)
+from .harm_memory import FieldParams
+from .rsd import RsdConfig
 
-__all__ = ["RunConfig", "load_config", "config_hash", "KNOWN_METHODS",
-           "desk_preset"]
+__all__ = ["RunConfig", "ShieldParams", "load_config", "config_hash",
+           "KNOWN_METHODS", "desk_preset", "checked"]
 
+# execution order of the suite: shield_um tunes against a finished rapo run
 KNOWN_METHODS = (
-    "ge", "ss", "dr", "shield", "shield_um", "pm_st", "pm_window",
-    "rapo", "rapo_off_rep", "rapo_topk", "rapo_local",
+    "ge", "ss", "dr", "shield", "pm_st", "pm_window",
+    "rapo", "rapo_off_rep", "rapo_topk", "rapo_local", "shield_um",
 )
 
 _DEFAULTS = {
@@ -83,9 +91,75 @@ def desk_preset(**overrides) -> dict:
     return preset
 
 
+@dataclass(frozen=True)
+class ShieldParams:
+    theta: float = 10.0
+    n_mc: int = 20
+    horizon: int = 100
+
+    def __post_init__(self):
+        if self.n_mc < 1 or self.horizon < 1:
+            raise ValueError("n_mc and horizon must be >= 1")
+
+    @property
+    def transitions_per_step(self) -> int:
+        return self.n_mc * self.horizon * 3
+
+
+def checked(where: str, build, *args, **kwargs):
+    """Call `build` on values from outside the program; a ValueError it
+    raises becomes a ConfigError that names `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
-    raw: dict = field(default_factory=dict)
+    """A merged, validated config and the typed objects built from it.
+
+    Build one with `load_config` or `derive`; `graph` and `deform` are the
+    only definitions of a run's graphs and deformation kernels.
+    """
+
+    raw: dict
+    env_params: EnvParams = field(init=False)
+    field_params: FieldParams = field(init=False)
+    shield_params: ShieldParams = field(init=False)
+    rsd_config: RsdConfig = field(init=False)       # z=1, replay inherits
+    base_deform: DeformationSpec = field(init=False)  # mode "full"
+    scripted_action: int = field(init=False)
+
+    def __post_init__(self):
+        cfg = self.raw
+        _validate(cfg)
+        g, e, f, d = (cfg[k] for k in ("graph", "env", "fields", "deformation"))
+        r, tr, s = cfg["rsd"], cfg["training"], cfg["shield"]
+        checked("graph", check_graph_args, g["nodes"], g["branching"],
+                sens_fraction=g["sens_frac"], locality=g["locality"],
+                local_span=g["local_span"], sens_style=g["sens_style"])
+        self.env_params = checked(
+            "env", EnvParams, k_seed=e["k_seed"], seed_pool=e["seed_pool"],
+            refire=e["refire"], reward=e["reward"],
+            action_costs=tuple(e["action_costs"]))
+        self.field_params = checked(
+            "fields", FieldParams, lam=f["lam"], alpha=f["alpha"],
+            eta=f["eta"], tau=f["tau"], delta=f["delta"], delay=f["delay"])
+        self.shield_params = checked(
+            "shield", ShieldParams, theta=s["theta"], n_mc=s["n_mc"],
+            horizon=s["horizon"])
+        self.rsd_config = checked(
+            "rsd (and training.gamma)", RsdConfig, t_exp=r["t_exp"],
+            t_decay=r["t_decay"], t_rep=r["t_rep"], rng_mode=r["rng_mode"],
+            truncate_buffer=r["truncate_buffer"], gamma=tr["gamma"])
+        self.base_deform = checked(
+            "deformation", DeformationSpec, w_G=d["w_g"], w_H=d["w_h"],
+            psi_min=d["psi_min"], k=d["topk_k"])
+        names = [a.name.lower() for a in Action]
+        if tr["scripted_fallback"] not in names:
+            raise ConfigError(f"training.scripted_fallback must be one of {names}")
+        self.scripted_action = int(Action[tr["scripted_fallback"].upper()])
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -99,9 +173,37 @@ class RunConfig:
     def snapshot(self) -> str:
         return json.dumps(self.raw, sort_keys=True, indent=2)
 
+    def derive(self, changes: dict) -> "RunConfig":
+        """A new config with `changes` merged in and validated."""
+        return RunConfig(raw=_merge(self.raw, changes))
+
+    def graph(self, seed: int) -> DiffusionGraph:
+        """The run's diffusion graph for one graph seed."""
+        g = self.raw["graph"]
+        return checked("graph", generate_graph, g["nodes"], g["branching"],
+                       seed, sens_fraction=g["sens_frac"],
+                       locality=g["locality"], local_span=g["local_span"],
+                       sens_style=g["sens_style"])
+
+    def deform(self, mode: str, graph: DiffusionGraph) -> DeformationSpec:
+        """The deformation for a mode; "local" gates the sensitive nodes and
+        their undirected neighbours."""
+        if mode != "local":
+            return self.base_deform.with_mode(mode)
+        hood = set(graph.sensitive_nodes.tolist())
+        for s in graph.sensitive_nodes:
+            hood.update(graph._und_adj[int(s)])
+        return self.base_deform.with_mode("local", local_regions=frozenset(hood))
+
 
 def config_hash(obj: dict) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _is_like(default, value) -> bool:
+    if isinstance(default, float):              # ints count as floats
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    return type(value) is type(default)
 
 
 def _merge(defaults, override, path=""):
@@ -118,45 +220,51 @@ def _merge(defaults, override, path=""):
             if k not in defaults:
                 raise ConfigError(f"unknown config field {path + '.' + k if path else k}")
         return out
+    if isinstance(defaults, list):
+        # every list default is nonempty; its entries fix the entry type
+        if not (isinstance(override, list)
+                and all(_is_like(defaults[0], v) for v in override)):
+            raise ConfigError(f"config field {path} must be a list of "
+                              f"{type(defaults[0]).__name__}")
+    elif not _is_like(defaults, override):
+        raise ConfigError(f"config field {path} must be {type(defaults).__name__}"
+                          + (" and finite" if isinstance(defaults, float) else ""))
     return override
 
 
 def _validate(cfg: dict) -> None:
+    """Checks that no constructor built from the config makes."""
     for m in cfg["methods"]:
         if m not in KNOWN_METHODS:
             raise ConfigError(f"unknown method id {m!r}")
-    g = cfg["graph"]
-    if g["nodes"] < 10:
-        raise ConfigError("graph.nodes must be >= 10")
-    if not (0.15 <= g["sens_frac"] <= 0.25):
-        raise ConfigError("graph.sens_frac must lie in [0.15, 0.25]")
-    if not g["seeds"]:
-        raise ConfigError("graph.seeds must be nonempty")
-    r = cfg["rsd"]
-    if min(r["t_exp"], r["t_decay"], r["t_rep"]) < 1:
-        raise ConfigError("rsd horizons must be >= 1")
-    if not r["stimuli"]:
-        raise ConfigError("rsd.stimuli must be nonempty")
-    if any(not (1 <= z <= 20) for z in r["stimuli"]):
-        raise ConfigError("rsd.stimuli entries must lie in 1..20")
-    if cfg["episodes"] < 1:
-        raise ConfigError("episodes must be >= 1")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+    if not cfg["graph"]["seeds"] or min(cfg["graph"]["seeds"]) < 0:
+        raise ConfigError("graph.seeds must be a nonempty list of integers >= 0")
+    stimuli = cfg["rsd"]["stimuli"]
+    if not stimuli or not all(1 <= z <= N_STIMULI for z in stimuli):
+        raise ConfigError(f"rsd.stimuli must be a nonempty list in 1..{N_STIMULI}")
+    tr = cfg["training"]
+    if min(cfg["episodes"], cfg["workers"], tr["episode_len"]) < 1:
+        raise ConfigError("episodes, workers and training.episode_len must be >= 1")
+    if min(cfg["master_seed"], tr["seed"]) < 0:
+        raise ConfigError("master_seed and training.seed must be >= 0")
 
 
 def load_config(source, overrides: dict | None = None) -> RunConfig:
     """Load and validate a run config from a path, dict, or JSON string.
 
-    The REPLAYLAB_SEED environment variable overrides the master seed.
+    Every typed object the run needs is built here, so a bad value fails
+    now as a ConfigError, not later inside a run.
     """
     if isinstance(source, dict):
         user = source
     else:
         text = source
         if os.path.exists(str(source)):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read config {source}: {exc}") from None
         try:
             user = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -164,11 +272,4 @@ def load_config(source, overrides: dict | None = None) -> RunConfig:
     merged = _merge(_DEFAULTS, user)
     if overrides:
         merged = _merge(merged, overrides)
-    env_seed = os.environ.get("REPLAYLAB_SEED")
-    if env_seed is not None:
-        try:
-            merged["master_seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError("REPLAYLAB_SEED must be an integer") from exc
-    _validate(merged)
     return RunConfig(raw=merged)

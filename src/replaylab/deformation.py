@@ -46,17 +46,13 @@ class DeformationSpec:
             raise ValueError("psi_min must lie in (0, 1]")
         if self.w_G < 0 or self.w_H < 0:
             raise ValueError("conductance weights must be nonnegative")
-        if self.mode == "topk" and self.k < 1:
-            raise ValueError("topk mode requires k >= 1")
+        if self.k < 1:
+            raise ValueError("topk k must be >= 1")
         if self.mode == "local" and not self.local_regions:
             raise ValueError("local mode requires a nonempty region subset")
 
     def with_mode(self, mode: str, **kw) -> "DeformationSpec":
         return replace(self, mode=mode, **kw)
-
-    @property
-    def active(self) -> bool:
-        return self.mode != "off"
 
 
 def conductance(regions, fields, spec: DeformationSpec) -> np.ndarray:

@@ -29,6 +29,7 @@ __all__ = [
     "EnvState",
     "StepResult",
     "generate_graph",
+    "check_graph_args",
     "select_sensitive_subgraph",
     "stimulus_seed_set",
     "initial_state",
@@ -68,10 +69,14 @@ class EnvParams:
             raise ValueError("reward must be 'log' or 'linear'")
         if self.k_seed < 1:
             raise ValueError("k_seed must be >= 1")
+        if len(self.action_costs) != len(Action):
+            raise ValueError(f"action_costs must have {len(Action)} entries")
 
 
 @dataclass
 class DiffusionGraph:
+    """A diffusion graph; region r of the harm fields is node r."""
+
     node_count: int
     edge_src: np.ndarray            # int64 [E], sorted by (src, dst)
     edge_dst: np.ndarray
@@ -96,11 +101,6 @@ class DiffusionGraph:
                 adj[int(u)].append(int(v))
                 adj[int(v)].append(int(u))
             self._und_adj = [sorted(set(a)) for a in adj]
-
-    # region map is identity at node level: region r == node r
-    @property
-    def regions(self) -> np.ndarray:
-        return np.arange(self.node_count)
 
     @property
     def sensitive_nodes(self) -> np.ndarray:
@@ -144,19 +144,31 @@ class DiffusionGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DiffusionGraph":
+        """Parse `to_json` output; raise ValueError if it is malformed."""
         obj = json.loads(text)
-        n = obj["nodes"]
-        edges = obj["edges"]
-        src = np.array([e["u"] for e in edges], dtype=np.int64)
-        dst = np.array([e["v"] for e in edges], dtype=np.int64)
-        p = np.array([e["p"] for e in edges], dtype=float)
-        sens = np.zeros(n, dtype=bool)
-        sens[obj["sensitive"]] = True
-        return cls(
-            node_count=n, edge_src=src, edge_dst=dst, edge_p=p, sensitive=sens,
-            seed=obj["seed"], branching_target=obj["branching_target"],
-            locality=obj.get("locality", 0.0),
-        )
+        try:
+            n, seed, edges = obj["nodes"], obj["seed"], obj["edges"]
+            src = np.array([e["u"] for e in edges], dtype=np.int64)
+            dst = np.array([e["v"] for e in edges], dtype=np.int64)
+            p = np.array([e["p"] for e in edges], dtype=float)
+            sens = np.array(obj["sensitive"], dtype=np.int64)
+            target = float(obj["branching_target"])
+            locality = float(obj.get("locality", 0.0))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"graph field missing or mistyped: {exc!r}") from None
+        ends = np.concatenate([src, dst, sens])
+        if not (isinstance(n, int) and n >= 1 and isinstance(seed, int) and seed >= 0):
+            raise ValueError("graph nodes must be an integer >= 1 and seed >= 0")
+        if sens.size == 0 or ends.min() < 0 or ends.max() >= n:
+            raise ValueError("sensitive indices must be nonempty and, like edge "
+                             f"ends, lie in 0..{n - 1}")
+        if np.any(np.diff(src * n + dst) <= 0):
+            raise ValueError("edges must be sorted by (src, dst) without repeats")
+        if not np.all((p > 0.0) & (p < 1.0)):
+            raise ValueError("edge probabilities p must lie in (0, 1)")
+        return cls(node_count=n, edge_src=src, edge_dst=dst, edge_p=p,
+                   sensitive=np.isin(np.arange(n), sens), seed=seed,
+                   branching_target=target, locality=locality)
 
 
 def _grow_connected_set(adj, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,6 +211,24 @@ def select_sensitive_subgraph(graph: DiffusionGraph, fraction: float, seed: int,
     return _grow_connected_set(graph._und_adj, size, substream(seed, 2))
 
 
+def check_graph_args(node_count: int, branching_target: float, *,
+                     sens_fraction: float, locality: float, local_span: int,
+                     sens_style: str) -> None:
+    """Raise ValueError for arguments `generate_graph` rejects up front."""
+    if node_count < 10:
+        raise ValueError("node_count must be >= 10")
+    if branching_target <= 0:
+        raise ValueError("branching_target must be positive")
+    if not (0.0 <= locality <= 1.0):
+        raise ValueError("locality must lie in [0, 1]")
+    if local_span < 1:
+        raise ValueError("local_span must be >= 1")
+    if not (0.15 <= sens_fraction <= 0.25):
+        raise ValueError("sensitive fraction must lie in [0.15, 0.25]")
+    if sens_style not in ("grow", "arc"):
+        raise ValueError("sensitive style must be 'grow' or 'arc'")
+
+
 def generate_graph(node_count: int, branching_target: float, seed: int, *,
                    sens_fraction: float = 0.2, locality: float = 0.0,
                    local_span: int = 3, sens_style: str = "grow") -> DiffusionGraph:
@@ -210,12 +240,9 @@ def generate_graph(node_count: int, branching_target: float, seed: int, *,
     locality > 0 that fraction of edge targets is drawn from a ring window
     of +-local_span positions, the rest uniformly at random.
     """
-    if node_count < 10:
-        raise ValueError("node_count must be >= 10")
-    if branching_target <= 0:
-        raise ValueError("branching_target must be positive")
-    if not (0.0 <= locality <= 1.0):
-        raise ValueError("locality must lie in [0, 1]")
+    check_graph_args(node_count, branching_target, sens_fraction=sens_fraction,
+                     locality=locality, local_span=local_span,
+                     sens_style=sens_style)
     rng = substream(seed, 0)
     degrees = rng.integers(3, 6, size=node_count)
     src_list, dst_list = [], []

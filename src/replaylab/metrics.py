@@ -6,9 +6,6 @@ JSONL reproduces the same report bit-exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import stats
 
@@ -18,7 +15,7 @@ from .rsd import RsdEpisodeRecord
 __all__ = [
     "EPS", "replay_ratios", "replay_return", "discounted_return",
     "action_shift_distance", "odds_ratio_series", "containment_radius",
-    "episode_metrics", "MetricsReport", "aggregate", "welch_ttest",
+    "episode_metrics", "welch_ttest",
 ]
 
 EPS = 1e-8
@@ -100,36 +97,6 @@ def episode_metrics(record: RsdEpisodeRecord, ge_reference: float | None = None)
     if ge_reference is not None:
         out["replay_ret"] = replay_return(record, ge_reference)
     return out
-
-
-@dataclass
-class MetricsReport:
-    method: str
-    graph_seed: int | str
-    per_episode: list = field(default_factory=list)
-
-    def _values(self, key):
-        vals = [m[key] for m in self.per_episode if not math.isnan(_float(m.get(key)))]
-        return vals
-
-    def mean(self, key) -> float:
-        vals = self._values(key)
-        return float(np.mean(vals)) if vals else float("nan")
-
-    def std(self, key) -> float:
-        vals = self._values(key)
-        return float(np.std(vals)) if vals else float("nan")
-
-
-def _float(x):
-    if x is None:
-        return float("nan")
-    return float(x)
-
-
-def aggregate(method: str, graph_seed, metric_dicts: list) -> MetricsReport:
-    return MetricsReport(method=method, graph_seed=graph_seed,
-                         per_episode=list(metric_dicts))
 
 
 def welch_ttest(sample_a, sample_b):

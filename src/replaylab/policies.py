@@ -57,8 +57,11 @@ class Policy:
             raise ValueError(f"unknown policy kind {kind!r}")
         if feature_mode not in ("obs", "augmented"):
             raise ValueError(f"unknown feature mode {feature_mode!r}")
-        if kind == "scripted" and scripted_action is None:
-            raise ValueError("scripted policy needs an action")
+        if kind == "scripted" and not (isinstance(scripted_action, int)
+                                       and 0 <= scripted_action < N_ACTIONS):
+            raise ValueError(f"scripted policy needs an action in 0..{N_ACTIONS - 1}")
+        if kind == "window" and not (isinstance(window, int) and window >= 1):
+            raise ValueError("window must be an integer >= 1")
         self.kind = kind
         self.feature_mode = feature_mode
         self.window = window if kind == "window" else 1
@@ -68,6 +71,9 @@ class Policy:
             self.weights = None
         elif weights is not None:
             self.weights = np.asarray(weights, dtype=float)
+            if self.weights.shape != (N_ACTIONS, self.feature_dim):
+                raise ValueError(f"weights must have shape ({N_ACTIONS}, "
+                                 f"{self.feature_dim}), not {self.weights.shape}")
         else:
             rng = np.random.Generator(np.random.PCG64(seed))
             self.weights = 0.01 * rng.standard_normal((N_ACTIONS, self.feature_dim))
@@ -172,11 +178,18 @@ class Policy:
 
     @classmethod
     def from_json(cls, text: str) -> "Policy":
+        """Parse a checkpoint; raise ValueError if it is malformed."""
         obj = json.loads(text)
-        w = None if obj["weights"] is None else np.array(obj["weights"], dtype=float)
-        return cls(kind=obj["kind"], feature_mode=obj["feature_mode"],
-                   window=obj["window"], weights=w,
-                   scripted_action=obj["scripted_action"])
+        try:
+            w = obj["weights"]
+            if w is None and obj["kind"] != "scripted":
+                raise ValueError(f"a {obj['kind']} checkpoint needs weights")
+            return cls(kind=obj["kind"], feature_mode=obj["feature_mode"],
+                       window=obj["window"],
+                       weights=None if w is None else np.array(w, dtype=float),
+                       scripted_action=obj["scripted_action"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint field missing or mistyped: {exc}") from None
 
     def clone(self) -> "Policy":
         p = Policy(kind=self.kind, feature_mode=self.feature_mode,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .deformation import DeformationSpec
 from .errors import ProtocolError
-from .graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                        initial_state, observe, phase_reset,
+from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvParams,
+                        env_step, initial_state, observe, phase_reset,
                         stimulus_seed_set)
 from .harm_memory import HarmFields, attribute_harm, update_scar
 from .policies import Policy, field_features
@@ -51,6 +51,10 @@ class RsdConfig:
             raise ValueError("replay_deformation must be 'inherit' or 'off'")
         if self.field_reset not in ("persist", "reset"):
             raise ValueError("field_reset must be 'persist' or 'reset'")
+        if not (1 <= self.z <= N_STIMULI):
+            raise ValueError(f"stimulus z must lie in 1..{N_STIMULI}")
+        if not (0.0 < self.gamma <= 1.0):
+            raise ValueError("gamma must lie in (0, 1]")
 
     def hash(self) -> str:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True)
@@ -83,12 +87,16 @@ class PhaseSeries:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseSeries":
-        return cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
-                   actions=d["actions"], action_dists=d["action_dists"],
-                   odds=[tuple(o) for o in d["odds"]], radius=d["radius"],
-                   g_sum=d["g_sum"], h_sum=d["h_sum"],
-                   scar_top=d["scar_top"],
-                   traj_hash=d["traj_hash"])
+        series = cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
+                     actions=d["actions"], action_dists=d["action_dists"],
+                     odds=[tuple(o) for o in d["odds"]], radius=d["radius"],
+                     g_sum=d["g_sum"], h_sum=d["h_sum"],
+                     scar_top=d["scar_top"],
+                     traj_hash=d["traj_hash"])
+        per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
+        if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
+            raise ValueError("a phase's per-step series must be nonempty and equally long")
+        return series
 
 
 @dataclass
@@ -114,13 +122,21 @@ class RsdEpisodeRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RsdEpisodeRecord":
-        return cls(
-            config=d["config"], graph_seed=d["graph_seed"],
-            episode_seed=d["episode_seed"],
-            phases={k: PhaseSeries.from_dict(v) for k, v in d["phases"].items()},
-            field_snapshots=d["field_snapshots"],
-            policy_hash=d["policy_hash"], counterfactual=d["counterfactual"],
-        )
+        """Parse `to_dict` output; raise ValueError if it is malformed."""
+        try:
+            rec = cls(
+                config=d["config"], graph_seed=d["graph_seed"],
+                episode_seed=d["episode_seed"],
+                phases={k: PhaseSeries.from_dict(v)
+                        for k, v in d["phases"].items()},
+                field_snapshots=d["field_snapshots"],
+                policy_hash=d["policy_hash"], counterfactual=d["counterfactual"],
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"record field missing or mistyped: {exc!r}") from None
+        if set(rec.phases) != {"exposure", "decay", "replay"}:
+            raise ValueError("record phases must be exposure, decay and replay")
+        return rec
 
 
 def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:

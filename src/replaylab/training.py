@@ -8,12 +8,12 @@ r_t - lam_G * sum(G_t) - lam_H * scar_increment_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProtocolError
-from .policies import N_ACTIONS, Policy, softmax
+from .policies import Policy
 
 __all__ = ["TrainerState", "Batch", "train_epoch", "dual_update",
            "gae_advantages", "surrogate_loss_and_grad", "ss_penalty_update"]
@@ -49,7 +49,6 @@ class TrainerState:
     gae_lambda: float = 0.95
     budget_G: float = 0.0
     budget_H: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.value_w is None:
@@ -145,10 +144,3 @@ def ss_penalty_update(penalty: float, harm: float, lr_dual: float,
     effect on behavior is transient once harm stops.
     """
     return max(p_min, beta * penalty + lr_dual * harm)
-
-
-def policy_logp(policy: Policy, feats: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    out = np.empty(actions.size)
-    for i, (f, a) in enumerate(zip(feats, actions)):
-        out[i] = np.log(softmax(policy.weights @ f)[a])
-    return out

@@ -161,3 +161,18 @@ def test_suite_record_layout_and_manifest(tmp_path):
         saved = json.load(fh)
     assert saved["config_hash"] == cfg.hash()
     assert saved["graph_seeds"] == [1]
+
+
+def test_shrunk_desk_report_hash_pinned(tmp_path, monkeypatch):
+    # the desk suite at 2 graphs x 2 episodes of 20/5/20 steps; a change
+    # meant to preserve behaviour must leave this report byte-identical
+    import hashlib
+    from replaylab.config import desk_preset
+    monkeypatch.delenv("REPLAYLAB_SEED", raising=False)
+    cfg = load_config(desk_preset(graph={"seeds": [1, 2]}, episodes=2,
+                                  rsd={"t_exp": 20, "t_decay": 5, "t_rep": 20}))
+    assert cfg["methods"] == ["ge", "pm_st", "rapo", "rapo_off_rep"]
+    run_method_suite(cfg, str(tmp_path / "run"))
+    digest = hashlib.sha256((tmp_path / "run" / "report.csv").read_bytes())
+    assert digest.hexdigest() == ("b6d3478a8bfe6296c0ac599711f39003"
+                                  "e030ad2f648d274b4cd18c748830ec2b")

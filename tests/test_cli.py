@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -162,3 +163,98 @@ def test_verify_exits_zero(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["no_go"]["stationary_holds"] is True
+
+
+def test_report_matches_run_with_multi_digit_graph_seeds(tmp_path):
+    # record files sort as strings ("10" before "2"); the report must still
+    # take records in configured graph-seed and episode order
+    cfg = _write_cfg(tmp_path, graph={"seeds": [2, 10]})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    re_csv = tmp_path / "re.csv"
+    assert main(["report", "--run-dir", str(out_dir),
+                 "--out", str(re_csv)]) == 0
+    assert re_csv.read_bytes() == (out_dir / "report.csv").read_bytes()
+
+
+def test_train_checkpoint_matches_run_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPLAYLAB_SEED", raising=False)
+    from replaylab.config import desk_preset
+    cfg = tmp_path / "desk.json"
+    cfg.write_text(json.dumps(desk_preset(
+        graph={"seeds": [1]}, episodes=1, methods=["rapo"],
+        rsd={"t_exp": 5, "t_decay": 2, "t_rep": 5},
+        training={"enabled": True, "steps": 1, "episode_len": 1024})))
+    ckpt = tmp_path / "rapo.json"
+    assert main(["train", "--config", str(cfg), "--method", "rapo",
+                 "--out", str(ckpt)]) == 0
+    assert main(["run", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert digest == manifest["checkpoint_hashes"]["rapo"]
+
+
+def _graph_json(**change):
+    from replaylab.graph_env import generate_graph
+    obj = json.loads(generate_graph(50, 1.5, seed=1).to_json())
+    for key, fn in change.items():
+        obj[key] = fn(obj[key])
+    return json.dumps(obj)
+
+
+def _ckpt_json(**change):
+    obj = json.loads(Policy(kind="softmax").to_json())
+    obj.update(change)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("graph_text,ckpt_text", [
+    (_graph_json(edges=lambda es: es[::-1]), _ckpt_json()),
+    (_graph_json(edges=lambda es: [{**es[0], "p": 1.7}] + es[1:]),
+     _ckpt_json()),
+    (_graph_json(sensitive=lambda s: s + [999]), _ckpt_json()),
+    (_graph_json(nodes=lambda n: None), _ckpt_json()),
+    ("{not json", _ckpt_json()),
+    (_graph_json(), _ckpt_json(weights=[[0.0, 0.0]] * 3)),
+    (_graph_json(), _ckpt_json(kind="oracle")),
+    (_graph_json(), _ckpt_json(feature_mode="psychic")),
+    (_graph_json(), _ckpt_json(kind="scripted", scripted_action=5)),
+    (_graph_json(), '{"kind": "softmax"}'),
+], ids=["reversed-edges", "p-above-1", "sensitive-out-of-range",
+        "nodes-null", "graph-not-json", "weights-3x2", "unknown-kind",
+        "unknown-feature-mode", "scripted-action-5", "ckpt-missing-fields"])
+def test_malformed_graph_or_checkpoint_exits_two(tmp_path, capsys,
+                                                 graph_text, ckpt_text):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "p.json"
+    gpath.write_text(graph_text)
+    cpath.write_text(ckpt_text)
+    rc = main(["rsd-eval", "--graph", str(gpath), "--checkpoint", str(cpath),
+               "--out", str(tmp_path / "rec.jsonl")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith("configuration error:")
+    bad = gpath if graph_text != _graph_json() else cpath
+    assert str(bad) in err[0]
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda line: line[: len(line) // 2],
+    lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                             if k != "phases"}),
+    lambda line: json.dumps([json.loads(line)]),
+    lambda line: json.dumps({**json.loads(line), "graph_seed": 77}),
+    lambda line: line.replace('"reach": [', '"reach": [0, ', 1),
+], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
+        "uneven-series"])
+def test_malformed_record_exits_two(tmp_path, capsys, mangle):
+    cfg = _write_cfg(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    victim = sorted((out_dir / "run" / "rapo" / "1").iterdir())[0]
+    victim.write_text(mangle(victim.read_text().strip()) + "\n")
+    rc = main(["report", "--run-dir", str(out_dir), "--out",
+               str(tmp_path / "re.csv")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith("configuration error:") and str(victim) in err[0]
