@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import KNOWN_METHODS, RunConfig, ShieldParams
-from .deformation import DeformationSpec
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                        initial_state, observe)
+                        initial_state, nominal_rollouts, observe)
 from .harm_memory import FieldParams, HarmFields, attribute_harm, update_scar
 from .metrics import discounted_return, episode_metrics, replay_return, welch_ttest
 from .policies import Policy, field_features
@@ -97,28 +96,19 @@ def shield_filter(state, graph: DiffusionGraph, theta: float, n_mc: int,
     """Estimate expected cumulative sensitive mass per action under the
     nominal kernel and return (allowed actions, transitions simulated).
 
-    Rollouts hold the candidate action fixed. If every action exceeds the
-    threshold, Conservative is allowed as the fail-safe.
+    Rollouts hold the candidate action fixed; the `n_mc` rollouts of each
+    of the three actions advance together in one `nominal_rollouts` call.
+    Under the nominal kernel the fields are zero and play no part, so
+    `field_params` is not read. If every action exceeds the threshold,
+    Conservative is allowed as the fail-safe.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    off = DeformationSpec(mode="off")
-    zero_fields = HarmFields.zeros(graph.node_count, field_params)
-    allowed = []
-    for action in range(3):
-        total = 0.0
-        for _ in range(n_mc):
-            sim = state.copy()
-            for _ in range(horizon):
-                res = env_step(sim, Action(action), graph, zero_fields, off,
-                               rng, env_params)
-                sim = res.state
-                total += float(graph.sensitive[sim.active].sum())
-        if total / n_mc <= theta:
-            allowed.append(action)
-    if not allowed:
-        allowed = [int(Action.CONSERVATIVE)]
-    return allowed, n_mc * horizon * 3
+    mass = nominal_rollouts(state, np.repeat(np.arange(3), n_mc), graph,
+                            horizon, rng, env_params)
+    means = mass.reshape(3, n_mc).mean(axis=1)
+    allowed = [a for a in range(3) if means[a] <= theta]
+    return allowed or [int(Action.CONSERVATIVE)], n_mc * horizon * 3
 
 
 class ShieldedPolicy:
@@ -249,8 +239,9 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
     ep_index = 0
     while steps_done < total_steps:
         feats, acts, rews, gsums, hincs, logps, starts = [], [], [], [], [], [], []
-        # one batch = a handful of episodes
-        for _ in range(max(1, 2048 // ep_len)):
+        # one batch = a handful of episodes; the last holds only those needed
+        for _ in range(min(max(1, 2048 // ep_len),
+                           math.ceil((total_steps - steps_done) / ep_len))):
             z = stimuli[ep_index % len(stimuli)]
             ep_index += 1
             fields = HarmFields.zeros(graph.node_count, cfg.field_params)
@@ -319,6 +310,10 @@ class MethodOutcome:
     metrics: list = field(default_factory=list)        # per-episode dicts
     checkpoint_json: str = ""
     transitions_per_step: int = 0
+    # shield_um threshold tuning: theta, achieved, target, diagnostic and
+    # the (theta, achieved) of every held-out evaluation; never written
+    # to report.csv or manifest.json
+    metrics_diag: dict = field(default_factory=dict)
 
 
 def _episode_seed(master: int, graph_seed: int, ep_index: int) -> int:
@@ -454,16 +449,21 @@ def _tune_um_threshold(cfg: RunConfig, mcfg: MethodConfig, checkpoints: dict,
     ckpt = _checkpoint(mcfg, graph, cfg, checkpoints)
     gamma = cfg.rsd_config.gamma
 
+    steps = []
+
     def evaluate(theta):
         records = run_method_episodes(held_cfg, mcfg, ckpt, graph, theta)
-        return float(np.mean([
+        achieved = float(np.mean([
             discounted_return(r.phases["replay"].rewards, gamma) / ge_ref
             for r in records]))
+        steps.append((theta, achieved))
+        return achieved
 
     theta, achieved, diag = tune_shield_um(
         evaluate, target, cfg.section("shield")["um_tolerance"])
     outcome.metrics_diag = {"theta": theta, "achieved": achieved,
-                            "target": target, "diagnostic": diag}
+                            "target": target, "diagnostic": diag,
+                            "steps": steps}
     return theta
 
 

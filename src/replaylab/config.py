@@ -234,6 +234,10 @@ def _merge(defaults, override, path=""):
 
 def _validate(cfg: dict) -> None:
     """Checks that no constructor built from the config makes."""
+    run_id = cfg["run_id"]
+    if run_id in ("", ".", "..") or "/" in run_id or "\\" in run_id:
+        raise ConfigError("run_id must name one directory: nonempty, not "
+                          "'.' or '..', and without a path separator")
     for m in cfg["methods"]:
         if m not in KNOWN_METHODS:
             raise ConfigError(f"unknown method id {m!r}")

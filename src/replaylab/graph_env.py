@@ -35,6 +35,7 @@ __all__ = [
     "initial_state",
     "observe",
     "env_step",
+    "nominal_rollouts",
     "harmful_entry_prob",
     "edge_gate_mask",
 ]
@@ -533,3 +534,71 @@ def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
     )
     return StepResult(state=new_state, reward=float(reward), harm=float(harm),
                       causal=causal, odds=odds)
+
+
+def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
+                     horizon: int, rng: np.random.Generator,
+                     params: EnvParams | None = None) -> np.ndarray:
+    """Cumulative sensitive mass of `horizon`-step rollouts from `state`
+    under the nominal kernel, one rollout per entry of `actions`.
+
+    Each rollout holds its action fixed and follows the transition law of
+    `env_step` with deformation "off" (the fields do not matter then). All
+    rollouts advance together as a (B, N) active/newly pair over a (B, E)
+    frontier mask. The injection draws of every step come from one block
+    drawn up front; each step's edge draws are one vector over the
+    frontier.
+    """
+    params = params or EnvParams()
+    actions = np.asarray(actions, dtype=np.int64)
+    b = actions.size
+    active = np.tile(state.active, (b, 1))
+    newly = np.tile(state.newly, (b, 1))
+    src, dst, p = graph.edge_src, graph.edge_dst, graph.edge_p
+    fixed = np.zeros_like(active)         # nodes injected on every step
+    cons = agg = np.empty(0, dtype=np.int64)
+    outs = []
+    if state.stimulus_on:
+        seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
+                                  params.seed_pool)
+        fixed[np.ix_(actions != Action.CONSERVATIVE, seeds)] = True
+        cons = np.flatnonzero(actions == Action.CONSERVATIVE)
+        # aggressive: per seed with out-edges, one out-neighbour drawn by
+        # inverse CDF over edge_p, as rng.choice draws it; the CDF rows are
+        # padded with 2.0, which no draw reaches
+        outs = [(d, np.cumsum(pe)) for d, pe in map(graph.out_edges_of, seeds)
+                if d.size]
+        if outs:
+            agg = np.flatnonzero(actions == Action.AGGRESSIVE)
+            col = np.arange(len(outs))
+            nbr = np.zeros((len(outs), max(d.size for d, _ in outs)),
+                           dtype=np.int64)
+            cdf = np.full(nbr.shape, 2.0)
+            for j, (d, c) in enumerate(outs):
+                nbr[j, :d.size] = d
+                cdf[j, :d.size] = c / c[-1]
+    inj_draws = rng.random((horizon, cons.size + agg.size * len(outs)))
+    mass = np.zeros(b, dtype=np.int64)
+    for t in range(horizon):
+        inj = fixed.copy()
+        u = inj_draws[t]
+        if cons.size:
+            pick = np.minimum((u[:cons.size] * seeds.size).astype(np.int64),
+                              seeds.size - 1)
+            inj[cons, seeds[pick]] = True
+        if agg.size:
+            ua = u[cons.size:].reshape(agg.size, col.size)
+            pos = (cdf[None, :, :] <= ua[:, :, None]).sum(axis=2)
+            inj[agg[:, None], nbr[col, pos]] = True
+        prev_newly = newly
+        newly = inj & ~active
+        active |= inj
+        # refire: every active node retries; fire-once: last step's newly
+        src_mask = active if params.refire else prev_newly
+        rows, edges = np.nonzero(src_mask[:, src] & ~active[:, dst])
+        fired = rng.random(rows.size) < p[edges]
+        rows, cols = rows[fired], dst[edges[fired]]
+        active[rows, cols] = True
+        newly[rows, cols] = True
+        mass += np.count_nonzero(active & graph.sensitive, axis=1)
+    return mass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,7 +97,28 @@ class PhaseSeries:
         per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
         if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
             raise ValueError("a phase's per-step series must be nonempty and equally long")
+        for name, (what, ok) in _SERIES_TYPES.items():
+            if not all(map(ok, getattr(series, name))):
+                raise ValueError(f"a phase's {name} series must hold {what}")
         return series
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_real(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+_SERIES_TYPES = {
+    "reach": ("integers", _is_int), "sens": ("integers", _is_int),
+    "actions": ("integers", _is_int), "radius": ("integers", _is_int),
+    "rewards": ("finite numbers", _is_real),
+    "g_sum": ("finite numbers", _is_real), "h_sum": ("finite numbers", _is_real),
+    "odds": ("4-tuples of finite numbers",
+             lambda o: len(o) == 4 and all(map(_is_real, o))),
+}
 
 
 @dataclass

@@ -10,10 +10,12 @@ import pytest
 from replaylab.baselines import (ShieldParams, method_config,
                                  run_method_suite, shield_filter,
                                  tune_shield_um)
-from replaylab.config import KNOWN_METHODS, load_config
+from replaylab.config import KNOWN_METHODS, desk_preset, load_config
+from replaylab.deformation import DeformationSpec
 from replaylab.errors import ConfigError
-from replaylab.graph_env import Action, EnvParams, generate_graph, initial_state
-from replaylab.harm_memory import FieldParams
+from replaylab.graph_env import (Action, EnvParams, env_step, generate_graph,
+                                 initial_state, nominal_rollouts)
+from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
 
 
@@ -98,6 +100,67 @@ def test_shield_allowed_sets_nested_in_threshold():
     assert prev == {0, 1, 2}
 
 
+def _env_step_mass(state, action, graph, horizon, rng, params, n):
+    """Reference estimator: `n` scalar `env_step` rollouts under the
+    nominal kernel, each returning its cumulative sensitive mass."""
+    off = DeformationSpec(mode="off")
+    zero = HarmFields.zeros(graph.node_count, FieldParams())
+    mass = np.zeros(n)
+    for k in range(n):
+        sim = state
+        for _ in range(horizon):
+            sim = env_step(sim, Action(action), graph, zero, off, rng,
+                           params).state
+            mass[k] += graph.sensitive[sim.active].sum()
+    return mass
+
+
+def _rollout_case(refire, stimulus_on):
+    if refire:
+        graph, params = generate_graph(50, 0.8, seed=2), EnvParams()
+    else:
+        cfg = load_config(desk_preset())
+        graph, params = cfg.graph(1), cfg.env_params
+    state = initial_state(graph, 3, 10, stimulus_on=stimulus_on)
+    if not stimulus_on:
+        lit = graph.sensitive_nodes[:3]
+        state.active[lit] = state.newly[lit] = True
+    return state, graph, params
+
+
+@pytest.mark.parametrize("refire,stimulus_on,horizon,n", [
+    (False, True, 10, 200), (False, False, 10, 200),
+    (True, True, 10, 200), (True, False, 10, 200),
+    # one step from an empty desk state isolates injection, where an
+    # aggressive step adds one out-neighbour per seed drawn in proportion
+    # to edge_p (a uniform draw shifts the aggressive mean by about 7 SE)
+    (False, True, 1, 2000),
+], ids=["fire-once-stimulus-on", "fire-once-stimulus-off",
+        "refire-stimulus-on", "refire-stimulus-off", "fire-once-one-step"])
+def test_batched_rollouts_match_env_step_rollouts(refire, stimulus_on,
+                                                  horizon, n):
+    # per action, the batched and the scalar mean sensitive mass agree
+    # within 5 standard errors of their difference (exactly, where both
+    # are deterministic)
+    state, graph, params = _rollout_case(refire, stimulus_on)
+    batched = nominal_rollouts(state, np.repeat(np.arange(3), n), graph,
+                               horizon, substream(0, 62), params).reshape(3, n)
+    for a in range(3):
+        ref = _env_step_mass(state, a, graph, horizon, substream(0, 63, a),
+                             params, n)
+        se = np.sqrt(batched[a].var(ddof=1) / n + ref.var(ddof=1) / n)
+        assert abs(batched[a].mean() - ref.mean()) <= 5 * se, (a, se)
+
+
+def test_shield_filter_at_paper_defaults():
+    allowed, sims = shield_filter(_state(), GRAPH, theta=10.0, n_mc=20,
+                                  horizon=100, rng=substream(0, 64),
+                                  env_params=EnvParams(),
+                                  field_params=FieldParams())
+    assert sims == 6000
+    assert allowed and set(allowed) <= {0, 1, 2}
+
+
 def test_tune_shield_um_converges_on_monotone_response():
     calls = []
 
@@ -117,6 +180,25 @@ def test_tune_shield_um_boundary_diagnostics():
     assert "boundary" in diag and theta == 1e6
     theta, achieved, diag = tune_shield_um(lambda t: 0.9, 0.3, tolerance=0.05)
     assert "boundary" in diag and theta == 0.0
+
+
+@pytest.mark.parametrize("steps,expected", [(1, 20), (250, 260)])
+def test_train_policy_runs_only_the_episodes_it_needs(monkeypatch, steps,
+                                                      expected):
+    # batches hold 2048 // 20 = 102 episodes; the last is cut to the
+    # ceil(remaining / episode_len) episodes the step budget needs
+    from replaylab import baselines
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return env_step(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "env_step", counted)
+    cfg = load_config(desk_preset(training={"enabled": True, "steps": steps,
+                                            "episode_len": 20}))
+    baselines.train_policy(method_config("rapo"), cfg.graph(1), cfg)
+    assert len(calls) == expected
 
 
 def _tiny_cfg(tmp_path, **over):
@@ -176,3 +258,19 @@ def test_shrunk_desk_report_hash_pinned(tmp_path, monkeypatch):
     digest = hashlib.sha256((tmp_path / "run" / "report.csv").read_bytes())
     assert digest.hexdigest() == ("b6d3478a8bfe6296c0ac599711f39003"
                                   "e030ad2f648d274b4cd18c748830ec2b")
+
+
+def test_shield_um_tuning_trace_kept_out_of_report(tmp_path):
+    cfg = load_config({
+        "graph": {"nodes": 20, "seeds": [1]},
+        "rsd": {"t_exp": 4, "t_decay": 2, "t_rep": 4},
+        "fields": {"delay": 1}, "shield": {"n_mc": 2, "horizon": 3},
+        "episodes": 2, "methods": ["ge", "rapo", "shield_um"]})
+    out = tmp_path / "run"
+    man = run_method_suite(cfg, str(out))
+    diag = man["outcomes"]["shield_um"].metrics_diag
+    assert diag["steps"] and (diag["theta"], diag["achieved"]) in diag["steps"]
+    assert {t for t, _ in diag["steps"][:2]} <= {0.0, 1e6}
+    for name in ("report.csv", "manifest.json"):
+        text = (out / name).read_text()
+        assert "diagnostic" not in text and "achieved" not in text

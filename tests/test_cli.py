@@ -238,6 +238,13 @@ def test_malformed_graph_or_checkpoint_exits_two(tmp_path, capsys,
     assert str(bad) in err[0]
 
 
+def _mangle_replay(line, key, fn):
+    rec = json.loads(line)
+    series = rec["phases"]["replay"]
+    series[key] = [fn(v) for v in series[key]]
+    return json.dumps(rec)
+
+
 @pytest.mark.parametrize("mangle", [
     lambda line: line[: len(line) // 2],
     lambda line: json.dumps({k: v for k, v in json.loads(line).items()
@@ -245,8 +252,11 @@ def test_malformed_graph_or_checkpoint_exits_two(tmp_path, capsys,
     lambda line: json.dumps([json.loads(line)]),
     lambda line: json.dumps({**json.loads(line), "graph_seed": 77}),
     lambda line: line.replace('"reach": [', '"reach": [0, ', 1),
+    lambda line: _mangle_replay(line, "reach", str),
+    lambda line: _mangle_replay(line, "rewards", lambda v: float("nan")),
+    lambda line: _mangle_replay(line, "odds", lambda o: o[:3]),
 ], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
-        "uneven-series"])
+        "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples"])
 def test_malformed_record_exits_two(tmp_path, capsys, mangle):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"

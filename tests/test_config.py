@@ -41,15 +41,22 @@ def test_derive_revalidates_and_keeps_master_seed():
     ("graph", "sens_style", "zig"),
     ("training", "scripted_fallback", "zig"),
     ("graph", "nodes", 50.5),
+    (None, "run_id", "../esc"),
+    (None, "run_id", ""),
+    (None, "run_id", "."),
+    (None, "run_id", ".."),
+    (None, "run_id", "a/b"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, section, key, value):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({section: {key: value}}))
+    path.write_text(json.dumps({key: value} if section is None
+                               else {section: {key: value}}))
     assert main(["run", "--config", str(path),
                  "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert key in err[0] or section in err[0]
+    assert not (tmp_path / "esc").exists()
 
 
 def test_negative_sweep_gate_weight_exits_two(tmp_path, capsys):
