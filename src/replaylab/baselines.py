@@ -16,13 +16,13 @@ import numpy as np
 
 from .config import KNOWN_METHODS, RunConfig, ShieldParams
 from .errors import ConfigError, ProtocolError
-from .graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                        initial_state, nominal_rollouts, observe)
-from .harm_memory import FieldParams, HarmFields, attribute_harm, update_scar
+from .graph_env import (Action, DiffusionGraph, EnvParams, initial_state,
+                        nominal_rollouts)
+from .harm_memory import FieldParams, HarmFields
 from .metrics import discounted_return, episode_metrics, replay_return, welch_ttest
-from .policies import Policy, field_features
+from .policies import Policy
 from .rng import substream
-from .rsd import RsdEpisodeRecord, _frontier_regions, run_rsd_episode
+from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episode
 from .training import (Batch, TrainerState, dual_update, ss_penalty_update,
                        train_epoch)
 
@@ -132,16 +132,8 @@ class ShieldedPolicy:
 
     # Policy interface -------------------------------------------------------
     @property
-    def kind(self):
-        return "shielded:" + self.base.kind
-
-    @property
     def feature_mode(self):
         return self.base.feature_mode
-
-    @property
-    def window(self):
-        return self.base.window
 
     @property
     def frozen(self):
@@ -166,6 +158,9 @@ class ShieldedPolicy:
         if gated.sum() <= 0:
             gated = mask
         return gated / gated.sum()
+
+    def features(self, obs, field_summary=None):
+        return self.base.features(obs, field_summary)
 
     def sample_action(self, obs, field_summary, rng):
         dist = self.action_distribution(obs, field_summary)
@@ -251,18 +246,9 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
             first = True
             trace = 0.0
             for _ in range(ep_len):
-                obs = observe(state, graph, ep_len, env_params)
-                fs = None
-                if policy.feature_mode == "augmented":
-                    fr = _frontier_regions(state, graph, env_params.refire)
-                    fs = field_features(fields, deform, fr)
-                f = policy.features(obs, fs)
-                dist = policy.action_distribution(obs, fs)
-                a = policy.sample_action(obs, fs, rng)
-                res = env_step(state, Action(a), graph, fields, deform, rng,
-                               env_params)
-                new_fields = attribute_harm(fields, res.harm, res.causal)
-                new_fields = update_scar(new_fields)
+                res, new_fields, a, dist, f = agent_step(
+                    state, policy, graph, fields, deform, rng, ep_len,
+                    env_params)
                 scar_inc = float(new_fields.H.sum() - fields.H.sum())
                 fields = new_fields
                 state = res.state

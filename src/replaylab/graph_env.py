@@ -36,7 +36,7 @@ __all__ = [
     "observe",
     "env_step",
     "nominal_rollouts",
-    "harmful_entry_prob",
+    "frontier_regions",
     "edge_gate_mask",
 ]
 
@@ -419,21 +419,14 @@ def _frontier_edges(graph: DiffusionGraph, active: np.ndarray,
     return np.flatnonzero(src_mask[graph.edge_src] & ~active[graph.edge_dst])
 
 
-def harmful_entry_prob(state: EnvState, graph: DiffusionGraph,
-                       edge_probs: np.ndarray, refire: bool = True):
-    """Analytic probability that >=1 inactive sensitive node activates.
-
-    `edge_probs` are the effective (possibly gated) per-edge probabilities.
-    Returns (p, q) with q = 1 - p.
-    """
+def frontier_regions(state: EnvState, graph: DiffusionGraph,
+                     refire: bool) -> np.ndarray:
+    """Inactive regions a frontier edge points into; the frontier's sources
+    are the active nodes under refire, else the nodes that activated on the
+    previous step."""
     src_mask = state.active if refire else state.newly
     idx = _frontier_edges(graph, state.active, src_mask)
-    idx = idx[graph.sensitive[graph.edge_dst[idx]]]
-    if idx.size == 0:
-        return 0.0, 1.0
-    # carry the survival product directly; 1 - (1 - prod) loses tiny q
-    q = float(np.prod(1.0 - edge_probs[idx]))
-    return 1.0 - q, q
+    return np.unique(graph.edge_dst[idx])
 
 
 def env_step(state: EnvState, action: Action, graph: DiffusionGraph,

@@ -7,7 +7,6 @@ JSONL reproduces the same report bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .errors import ProtocolError
 from .rsd import RsdEpisodeRecord
@@ -101,6 +100,7 @@ def episode_metrics(record: RsdEpisodeRecord, ge_reference: float | None = None)
 
 def welch_ttest(sample_a, sample_b):
     """Two-sample Welch's t-test (unequal variance). Returns (t, p)."""
+    from scipy import stats  # deferred: it takes about a second to import
     res = stats.ttest_ind(np.asarray(sample_a, dtype=float),
                           np.asarray(sample_b, dtype=float), equal_var=False)
     return float(res.statistic), float(res.pvalue)

@@ -19,14 +19,14 @@ import numpy as np
 from .deformation import DeformationSpec
 from .errors import ProtocolError
 from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvParams,
-                        env_step, initial_state, observe, phase_reset,
-                        stimulus_seed_set)
+                        env_step, frontier_regions, initial_state, observe,
+                        phase_reset, stimulus_seed_set)
 from .harm_memory import HarmFields, attribute_harm, update_scar
 from .policies import Policy, field_features
 from .rng import substream
 
-__all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "run_rsd_episode",
-           "scar_evolution"]
+__all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "agent_step",
+           "run_rsd_episode", "scar_evolution"]
 
 _EXP_STREAM, _DECAY_STREAM, _REP_STREAM = 10, 11, 12
 
@@ -111,13 +111,17 @@ def _is_real(v) -> bool:
     return type(v) is int or type(v) is float and math.isfinite(v)
 
 
+def _reals(n: int):
+    return lambda v: len(v) == n and all(map(_is_real, v))
+
+
 _SERIES_TYPES = {
     "reach": ("integers", _is_int), "sens": ("integers", _is_int),
     "actions": ("integers", _is_int), "radius": ("integers", _is_int),
     "rewards": ("finite numbers", _is_real),
     "g_sum": ("finite numbers", _is_real), "h_sum": ("finite numbers", _is_real),
-    "odds": ("4-tuples of finite numbers",
-             lambda o: len(o) == 4 and all(map(_is_real, o))),
+    "odds": ("4-tuples of finite numbers", _reals(4)),
+    "action_dists": ("3-lists of finite numbers", _reals(3)),
 }
 
 
@@ -181,10 +185,33 @@ def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     return rows
 
 
-def _frontier_regions(state, graph, refire: bool) -> np.ndarray:
-    src_mask = state.active if refire else state.newly
-    idx = np.flatnonzero(src_mask[graph.edge_src] & ~state.active[graph.edge_dst])
-    return np.unique(graph.edge_dst[idx])
+def agent_step(state, policy: Policy, graph: DiffusionGraph,
+               fields: HarmFields, deform: DeformationSpec,
+               rng: np.random.Generator, t_phase: int, env_params: EnvParams):
+    """One agent-environment step, shared by the RSD phases and training.
+
+    Binds the state to a policy that asks for it (the shield), observes,
+    adds the field features for augmented policies, samples an action,
+    steps the environment and updates the harm fields. Returns the
+    StepResult, the new fields, the action, the distribution it was drawn
+    from and the policy's feature vector, taken before sampling pushes the
+    observation into a window policy's memory.
+    """
+    bind = getattr(policy, "bind_env_state", None)
+    if bind is not None:
+        bind(state, fields, deform)
+    obs = observe(state, graph, t_phase, env_params)
+    fs = None
+    if policy.feature_mode == "augmented":
+        fs = field_features(fields, deform,
+                            frontier_regions(state, graph, env_params.refire))
+    feats = policy.features(obs, fs)
+    dist = policy.action_distribution(obs, fs)
+    action = policy.sample_action(obs, fs, rng)
+    res = env_step(state, Action(action), graph, fields, deform, rng,
+                   env_params)
+    fields = update_scar(attribute_harm(fields, res.harm, res.causal))
+    return res, fields, action, dist, feats
 
 
 def _run_phase(state, policy: Policy, graph: DiffusionGraph,
@@ -194,22 +221,9 @@ def _run_phase(state, policy: Policy, graph: DiffusionGraph,
     series = PhaseSeries()
     hasher = hashlib.sha256()
     radius = 0
-    bind = getattr(policy, "bind_env_state", None)
     for _ in range(steps):
-        if bind is not None:
-            bind(state, fields, deform)
-        obs = observe(state, graph, steps, env_params)
-        if policy.feature_mode == "augmented":
-            fr = _frontier_regions(state, graph, env_params.refire)
-            fs = field_features(fields, deform, fr)
-        else:
-            fs = None
-        dist = policy.action_distribution(obs, fs)
-        action = policy.sample_action(obs, fs, rng)
-        res = env_step(state, Action(action), graph, fields, deform, rng,
-                       env_params)
-        fields = attribute_harm(fields, res.harm, res.causal)
-        fields = update_scar(fields)
+        res, fields, action, dist, _ = agent_step(
+            state, policy, graph, fields, deform, rng, steps, env_params)
         state = res.state
         new_hops = hop_dist[state.newly]
         new_hops = new_hops[new_hops >= 0]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ProtocolError
 from .policies import Policy
@@ -162,6 +161,7 @@ def check_no_go(mdp: ToyMdp, policy: Policy | None = None, *,
         policy.reset_memory()
         rep_s_i, _, _ = mdp.rollout(policy, t_rep, xi, substream(seed, 32, i))
         rep_stats.append(int(mdp.harmful[rep_s_i].sum()))
+    from scipy import stats  # deferred: it takes about a second to import
     ks = stats.ks_2samp(exp_stats, rep_stats)
     result = {
         "paired_identical": paired_identical,

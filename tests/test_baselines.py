@@ -187,18 +187,33 @@ def test_train_policy_runs_only_the_episodes_it_needs(monkeypatch, steps,
                                                       expected):
     # batches hold 2048 // 20 = 102 episodes; the last is cut to the
     # ceil(remaining / episode_len) episodes the step budget needs
-    from replaylab import baselines
+    from replaylab import baselines, rsd
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return env_step(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "env_step", counted)
+    # training steps through the shared step, which calls rsd.env_step
+    monkeypatch.setattr(rsd, "env_step", counted)
     cfg = load_config(desk_preset(training={"enabled": True, "steps": steps,
                                             "episode_len": 20}))
     baselines.train_policy(method_config("rapo"), cfg.graph(1), cfg)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("method", ["rapo", "pm_window", "ss"])
+def test_train_policy_weights_pinned(method):
+    # 400 steps on desk graph 1 (20 episodes of 20 steps); a change meant to
+    # preserve behaviour must leave the trained weights unchanged
+    from replaylab.baselines import train_policy
+    path = os.path.join(os.path.dirname(__file__), "pinned_train_weights.json")
+    with open(path, encoding="utf-8") as fh:
+        pinned = json.load(fh)[method]
+    cfg = load_config(desk_preset(training={"enabled": True, "steps": 400,
+                                            "episode_len": 20}))
+    policy = train_policy(method_config(method), cfg.graph(1), cfg)
+    np.testing.assert_allclose(policy.weights, pinned, rtol=1e-12, atol=0)
 
 
 def _tiny_cfg(tmp_path, **over):

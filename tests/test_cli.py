@@ -255,8 +255,12 @@ def _mangle_replay(line, key, fn):
     lambda line: _mangle_replay(line, "reach", str),
     lambda line: _mangle_replay(line, "rewards", lambda v: float("nan")),
     lambda line: _mangle_replay(line, "odds", lambda o: o[:3]),
+    lambda line: _mangle_replay(line, "action_dists",
+                                lambda d: [str(x) for x in d]),
+    lambda line: _mangle_replay(line, "action_dists", lambda d: d[:2]),
 ], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
-        "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples"])
+        "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples",
+        "string-action-dists", "action-dists-2-entries"])
 def test_malformed_record_exits_two(tmp_path, capsys, mangle):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"

@@ -7,8 +7,8 @@ import pytest
 
 from replaylab.deformation import DeformationSpec
 from replaylab.graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                                 generate_graph, harmful_entry_prob,
-                                 initial_state, stimulus_seed_set)
+                                 generate_graph, initial_state,
+                                 stimulus_seed_set)
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
 
@@ -220,16 +220,24 @@ def test_harmful_entry_prob_examples():
     g = DiffusionGraph(node_count=n, edge_src=src[order], edge_dst=dst[order],
                        edge_p=p[order], sensitive=sens, seed=0,
                        branching_target=1.0)
-    st = initial_state(g, 1, 5)
+    st = initial_state(g, 1, 5, stimulus_on=False)
     st.active[0] = True
     st.newly[0] = True
-    p_hit, q = harmful_entry_prob(st, g, g.edge_p)
+
+    def entry_odds():
+        # (p, q) for >= 1 sensitive entry; with nothing injected and the
+        # kernel undeformed, the step's frontier is node 0's out-edges
+        odds = env_step(st, Action.MODERATE, g, _fields(g, delay=5), OFF,
+                        substream(0, 14)).odds
+        return odds[:2]
+
+    p_hit, q = entry_odds()
     assert p_hit == pytest.approx(1 - 0.7 * 0.5, abs=1e-12)
     assert q == pytest.approx(0.35, abs=1e-12)
     # single-edge case
     g.sensitive = np.zeros(n, dtype=bool)
     g.sensitive[1] = True
-    p_hit, q = harmful_entry_prob(st, g, g.edge_p)
+    p_hit, q = entry_odds()
     assert p_hit == pytest.approx(0.3, abs=1e-12)
 
 

@@ -1,6 +1,9 @@
 """Metric computations on fabricated and serialized records."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,3 +141,15 @@ def test_welch_ttest_directions():
     assert t > 0 and p < 0.01
     _, p_same = welch_ttest([1.0, 1.1, 0.9], [1.0, 1.05, 0.95])
     assert p_same > 0.05
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the Welch test and
+    # the no-go check load it, when they run
+    import replaylab
+    src = os.path.dirname(os.path.dirname(replaylab.__file__))
+    code = ("import sys, replaylab; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0

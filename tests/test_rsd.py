@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from replaylab.baselines import ShieldedPolicy
+from replaylab.config import ShieldParams
 from replaylab.deformation import DeformationSpec
 from replaylab.errors import ProtocolError
 from replaylab.graph_env import EnvParams, generate_graph
@@ -141,3 +143,32 @@ def test_config_validation():
         RsdConfig(replay_deformation="sometimes")
     with pytest.raises(ValueError):
         RsdConfig(field_reset="maybe")
+
+
+# Phase trajectory hashes of one episode of an augmented softmax policy under
+# full deformation, bare and shielded; a change meant to preserve behaviour
+# must leave them unchanged. All three actions occur in the exposure and
+# replay phases of both.
+PINNED_ENV = EnvParams(refire=False)
+PINNED_HASHES = {
+    "bare": ["f14d19b5119322ee3a9f677e8307092fe58ffc2ecf3965d87b50c88be7431ffa",
+             "00c3268298ab192e64239ba0fadde07c76b03b930828474b75079b3efdb59ae7",
+             "e72a93be675cb47d91a40fab9c9021a045f41b1991e7912db1e269c9b9540946"],
+    "shielded": ["901558f9d78145fc4df106a2b1c0b67a19a527e222fdb6b8f14a8d8ffa070d66",
+                 "f1040130efe528722c0da20dd7ecfd8e5d39a8d6f7f7edfdc20903ab283c00b4",
+                 "314b5d668c2e0f612cc82e9e8c9be5a2ba7bcbfc0a88c132947a144e76c6890a"],
+}
+
+
+@pytest.mark.parametrize("wrap", ["bare", "shielded"])
+def test_augmented_episode_traj_hashes_pinned(wrap):
+    w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
+    policy = _policy(feature_mode="augmented", weights=w)
+    if wrap == "shielded":
+        policy = ShieldedPolicy(policy, GRAPH,
+                                ShieldParams(theta=30.0, n_mc=2, horizon=5),
+                                PINNED_ENV, FieldParams(delay=10), 7)
+    rec = _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60), policy=policy,
+               deform=FULL, env=PINNED_ENV, delay=10)
+    assert [rec.phases[p].traj_hash for p in ("exposure", "decay", "replay")] \
+        == PINNED_HASHES[wrap]
