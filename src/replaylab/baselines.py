@@ -114,8 +114,9 @@ def shield_filter(state, graph: DiffusionGraph, theta: float, n_mc: int,
 class ShieldedPolicy:
     """Wraps a frozen policy with the Monte-Carlo action filter.
 
-    Exposes the Policy evaluation interface; the RSD runner binds the
-    current environment state before each step.
+    Exposes the Policy interface `rsd.agent_step` uses (features,
+    action_distribution, remember); the step binds the current environment
+    state before each evaluation.
     """
 
     def __init__(self, base: Policy, graph: DiffusionGraph,
@@ -148,10 +149,10 @@ class ShieldedPolicy:
             self.params.horizon, self.mc_rng, self.env_params,
             self.field_params)
 
-    def action_distribution(self, obs, field_summary=None):
+    def action_distribution(self, features):
         if self._state is None:
             raise ProtocolError("shield evaluated without a bound env state")
-        dist = self.base.action_distribution(obs, field_summary)
+        dist = self.base.action_distribution(features)
         mask = np.zeros_like(dist)
         mask[self._allowed_actions] = 1.0
         gated = dist * mask
@@ -162,12 +163,8 @@ class ShieldedPolicy:
     def features(self, obs, field_summary=None):
         return self.base.features(obs, field_summary)
 
-    def sample_action(self, obs, field_summary, rng):
-        dist = self.action_distribution(obs, field_summary)
-        action = int(rng.choice(len(dist), p=dist))
-        if self.base.window > 1:
-            self.base._memory.append(np.asarray(obs, dtype=float).copy())
-        return action
+    def remember(self, obs):
+        self.base.remember(obs)
 
     def reset_memory(self):
         self.base.reset_memory()

@@ -414,9 +414,9 @@ class StepResult:
     odds: tuple                     # (p, q, p0, q0) for sensitive entry this step
 
 
-def _frontier_edges(graph: DiffusionGraph, active: np.ndarray,
+def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,
                     src_mask: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(src_mask[graph.edge_src] & ~active[graph.edge_dst])
+    return np.flatnonzero(src_mask[src] & ~active[dst])
 
 
 def frontier_regions(state: EnvState, graph: DiffusionGraph,
@@ -424,9 +424,53 @@ def frontier_regions(state: EnvState, graph: DiffusionGraph,
     """Inactive regions a frontier edge points into; the frontier's sources
     are the active nodes under refire, else the nodes that activated on the
     previous step."""
-    src_mask = state.active if refire else state.newly
-    idx = _frontier_edges(graph, state.active, src_mask)
+    idx = _frontier_edges(graph.edge_src, graph.edge_dst, state.active,
+                          state.active if refire else state.newly)
     return np.unique(graph.edge_dst[idx])
+
+
+def _advance(active, newly, injected, src, dst, p, refire, rng):
+    """One transition on a flat node array: activate the injected nodes,
+    then fire each frontier edge e once with probability p[e]. Without
+    `refire` the frontier's sources are the previous step's `newly`, so a
+    node's out-edges are tried once, on the step after it activates.
+    Returns the new active and newly arrays and the frontier's edges."""
+    new = np.zeros_like(active)
+    new[injected] = True
+    new &= ~active
+    active = active | new
+    idx = _frontier_edges(src, dst, active, active if refire else newly)
+    fired = dst[idx[rng.random(idx.size) < p[idx]]]
+    active[fired] = True
+    new[fired] = True
+    return active, new, idx
+
+
+def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
+                  deform: DeformationSpec, action: Action):
+    """(nodes, cdf) rows of a step's injection draws: Conservative picks one
+    seed (nominally uniform), Aggressive one out-neighbour per seed with
+    out-edges (nominally by edge_p). Rows go through `apply_mode`, get
+    their CDF as `rng.choice` computes it, and are padded with 2.0."""
+    if action == Action.CONSERVATIVE:
+        rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
+    else:
+        rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
+                if d.size]
+    nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
+                     dtype=np.int64)
+    cdf = np.full(nodes.shape, 2.0)
+    for j, (d, nominal) in enumerate(rows):
+        c = np.cumsum(apply_mode(nominal, psi[d], deform, regions=d))
+        nodes[j, :d.size] = d
+        cdf[j, :d.size] = c / c[-1]
+    return nodes, cdf
+
+
+def _pick(law, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF picks, one per row of `law` along the last axis of u."""
+    nodes, cdf = law
+    return nodes[np.arange(len(nodes)), (cdf <= u[..., None]).sum(axis=-1)]
 
 
 def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
@@ -451,66 +495,41 @@ def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
         causal = np.empty(0, dtype=np.int64)
         harm = 0.0
 
-    active = state.active.copy()
-    prev_count = int(active.sum())
-    newly = np.zeros(n, dtype=bool)
     psi_nodes = conductance(np.arange(n), fields, deform)
 
-    # seed injection
+    # seed injection: every seed unless Conservative, plus any drawn picks
+    injected = np.empty(0, dtype=np.int64)
     if state.stimulus_on:
         seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
                                   params.seed_pool)
-        injected = []
-        if action == Action.CONSERVATIVE:
-            nominal = np.full(seeds.size, 1.0 / seeds.size)
-            probs = apply_mode(nominal, psi_nodes[seeds], deform, regions=seeds)
-            injected.append(int(seeds[rng.choice(seeds.size, p=probs)]))
-        elif action == Action.MODERATE:
-            injected.extend(int(s) for s in seeds)
-        else:  # AGGRESSIVE: all seeds plus one sampled out-neighbor per seed
-            injected.extend(int(s) for s in seeds)
-            for s in seeds:
-                dst, pe = graph.out_edges_of(int(s))
-                if dst.size == 0:
-                    continue
-                nominal = pe / pe.sum()
-                probs = apply_mode(nominal, psi_nodes[dst], deform, regions=dst)
-                injected.append(int(dst[rng.choice(dst.size, p=probs)]))
-        for v in injected:
-            if not active[v]:
-                active[v] = True
-                newly[v] = True
+        if action != Action.CONSERVATIVE:
+            injected = seeds
+        if action != Action.MODERATE:
+            law = _stimulus_law(graph, seeds, psi_nodes, deform, action)
+            injected = np.concatenate(
+                [injected, _pick(law, rng.random(len(law[0])))])
 
-    # cascade diffusion over frontier edges
-    # Fire-once mode: each node's out-edges are attempted exactly once, on
-    # the step after the node activates (injected nodes included).
-    if params.refire:
-        src_mask = active
-    else:
-        src_mask = state.newly
-    idx = _frontier_edges(graph, active, src_mask)
-    p_nom = graph.edge_p[idx]
-    p_eff = p_nom.copy()
-    gmask = edge_gate_mask(graph, deform)[idx]
+    # cascade diffusion over frontier edges, gated by destination conductance
+    p_eff = graph.edge_p
+    gmask = edge_gate_mask(graph, deform)
     if gmask.any():
-        dsts = graph.edge_dst[idx[gmask]]
-        p_eff[gmask] = gate_edge_prob(p_nom[gmask], psi_nodes[dsts])
+        p_eff = np.where(gmask, gate_edge_prob(p_eff, psi_nodes[graph.edge_dst]),
+                         p_eff)
+    active, newly, idx = _advance(state.active, state.newly, injected,
+                                  graph.edge_src, graph.edge_dst, p_eff,
+                                  params.refire, rng)
 
     # analytic sensitive-entry odds at this realized (state, action)
-    sens_sel = graph.sensitive[graph.edge_dst[idx]]
-    if sens_sel.any():
+    sens = idx[graph.sensitive[graph.edge_dst[idx]]]
+    if sens.size:
         # survival products kept exact so tiny q values do not cancel to 0
-        q_g = float(np.prod(1.0 - p_eff[sens_sel]))
-        q_0 = float(np.prod(1.0 - p_nom[sens_sel]))
+        q_g = float(np.prod(1.0 - p_eff[sens]))
+        q_0 = float(np.prod(1.0 - graph.edge_p[sens]))
         odds = (1.0 - q_g, q_g, 1.0 - q_0, q_0)
     else:
         odds = (0.0, 1.0, 0.0, 1.0)
 
-    draws = rng.random(idx.size)
-    fired_dst = graph.edge_dst[idx[draws < p_eff]]
-    active[fired_dst] = True
-    newly[fired_dst] = True
-
+    prev_count = int(state.active.sum())
     new_count = int(active.sum())
     if params.reward == "log":
         reward = (np.log1p(new_count) - np.log1p(prev_count)) / np.log1p(n)
@@ -535,63 +554,45 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
     """Cumulative sensitive mass of `horizon`-step rollouts from `state`
     under the nominal kernel, one rollout per entry of `actions`.
 
-    Each rollout holds its action fixed and follows the transition law of
-    `env_step` with deformation "off" (the fields do not matter then). All
-    rollouts advance together as a (B, N) active/newly pair over a (B, E)
-    frontier mask. The injection draws of every step come from one block
-    drawn up front; each step's edge draws are one vector over the
-    frontier.
+    Each rollout holds its action fixed and follows `env_step`'s law with
+    deformation "off" (the fields do not matter then). Rollout b runs on
+    copy b of the graph (node b*N + v), so all advance through `_advance`
+    as one flat state, edge draws in rollout-major order. The injection
+    draws of all steps are one (horizon, k) block drawn up front: the
+    Conservative rollouts' picks, then each Aggressive rollout's, seed by
+    seed.
     """
     params = params or EnvParams()
     actions = np.asarray(actions, dtype=np.int64)
-    b = actions.size
-    active = np.tile(state.active, (b, 1))
-    newly = np.tile(state.newly, (b, 1))
-    src, dst, p = graph.edge_src, graph.edge_dst, graph.edge_p
-    fixed = np.zeros_like(active)         # nodes injected on every step
-    cons = agg = np.empty(0, dtype=np.int64)
-    outs = []
+    b, n = actions.size, graph.node_count
+    offset = np.arange(b) * n
+    src = (graph.edge_src + offset[:, None]).ravel()
+    dst = (graph.edge_dst + offset[:, None]).ravel()
+    p = np.tile(graph.edge_p, b)
+    active, newly = np.tile(state.active, b), np.tile(state.newly, b)
+    fixed = cons = agg = np.empty(0, dtype=np.int64)  # node offsets
+    rows = 0
     if state.stimulus_on:
         seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
                                   params.seed_pool)
-        fixed[np.ix_(actions != Action.CONSERVATIVE, seeds)] = True
-        cons = np.flatnonzero(actions == Action.CONSERVATIVE)
-        # aggressive: per seed with out-edges, one out-neighbour drawn by
-        # inverse CDF over edge_p, as rng.choice draws it; the CDF rows are
-        # padded with 2.0, which no draw reaches
-        outs = [(d, np.cumsum(pe)) for d, pe in map(graph.out_edges_of, seeds)
-                if d.size]
-        if outs:
-            agg = np.flatnonzero(actions == Action.AGGRESSIVE)
-            col = np.arange(len(outs))
-            nbr = np.zeros((len(outs), max(d.size for d, _ in outs)),
-                           dtype=np.int64)
-            cdf = np.full(nbr.shape, 2.0)
-            for j, (d, c) in enumerate(outs):
-                nbr[j, :d.size] = d
-                cdf[j, :d.size] = c / c[-1]
-    inj_draws = rng.random((horizon, cons.size + agg.size * len(outs)))
+        fixed = (offset[actions != Action.CONSERVATIVE, None] + seeds).ravel()
+        off, ones = DeformationSpec(mode="off"), np.ones(n)
+        cons_law = _stimulus_law(graph, seeds, ones, off, Action.CONSERVATIVE)
+        agg_law = _stimulus_law(graph, seeds, ones, off, Action.AGGRESSIVE)
+        cons = offset[actions == Action.CONSERVATIVE]
+        agg = offset[actions == Action.AGGRESSIVE]
+        rows = len(agg_law[0])
+    draws = rng.random((horizon, cons.size + agg.size * rows))
     mass = np.zeros(b, dtype=np.int64)
     for t in range(horizon):
-        inj = fixed.copy()
-        u = inj_draws[t]
+        u = draws[t]
+        injected = [fixed]
         if cons.size:
-            pick = np.minimum((u[:cons.size] * seeds.size).astype(np.int64),
-                              seeds.size - 1)
-            inj[cons, seeds[pick]] = True
+            injected.append(cons + _pick(cons_law, u[:cons.size, None])[:, 0])
         if agg.size:
-            ua = u[cons.size:].reshape(agg.size, col.size)
-            pos = (cdf[None, :, :] <= ua[:, :, None]).sum(axis=2)
-            inj[agg[:, None], nbr[col, pos]] = True
-        prev_newly = newly
-        newly = inj & ~active
-        active |= inj
-        # refire: every active node retries; fire-once: last step's newly
-        src_mask = active if params.refire else prev_newly
-        rows, edges = np.nonzero(src_mask[:, src] & ~active[:, dst])
-        fired = rng.random(rows.size) < p[edges]
-        rows, cols = rows[fired], dst[edges[fired]]
-        active[rows, cols] = True
-        newly[rows, cols] = True
-        mass += np.count_nonzero(active & graph.sensitive, axis=1)
+            ua = u[cons.size:].reshape(agg.size, rows)
+            injected.append((agg[:, None] + _pick(agg_law, ua)).ravel())
+        active, newly, _ = _advance(active, newly, np.concatenate(injected),
+                                    src, dst, p, params.refire, rng)
+        mass += (active.reshape(b, n) & graph.sensitive).sum(axis=1)
     return mass

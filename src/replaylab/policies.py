@@ -113,30 +113,27 @@ class Policy:
 
     # -- evaluation --------------------------------------------------------
 
-    def action_distribution(self, obs: np.ndarray,
-                            field_summary: np.ndarray | None = None) -> np.ndarray:
+    def action_distribution(self, features: np.ndarray) -> np.ndarray:
+        """Distribution over actions at a vector built by `Policy.features`."""
         if self.kind == "scripted":
             dist = np.zeros(N_ACTIONS)
             dist[self.scripted_action] = 1.0
             return dist
-        f = self.features(obs, field_summary)
-        return softmax(self.weights @ f)
+        return softmax(self.weights @ features)
 
     def sample_action(self, obs: np.ndarray, field_summary: np.ndarray | None,
                       rng: np.random.Generator) -> int:
-        """Sample an action and push obs into the history window.
+        """Draw an action (one uniform, whatever the kind) and remember obs."""
+        dist = self.action_distribution(self.features(obs, field_summary))
+        action = int(rng.choice(N_ACTIONS, p=dist))
+        self.remember(obs)
+        return action
 
-        Frozen policies still update memory: memory is not weights.
-        """
-        dist = self.action_distribution(obs, field_summary)
-        if self.kind == "scripted":
-            action = self.scripted_action
-            rng.random()  # keep draw count uniform across policy kinds
-        else:
-            action = int(rng.choice(N_ACTIONS, p=dist))
+    def remember(self, obs: np.ndarray) -> None:
+        """Push obs into the history window (memory is not weights, so a
+        frozen policy still remembers)."""
         if self.window > 1:
             self._memory.append(np.asarray(obs, dtype=float).copy())
-        return action
 
     def reset_memory(self) -> None:
         self._memory.clear()

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -191,11 +193,10 @@ def agent_step(state, policy: Policy, graph: DiffusionGraph,
     """One agent-environment step, shared by the RSD phases and training.
 
     Binds the state to a policy that asks for it (the shield), observes,
-    adds the field features for augmented policies, samples an action,
-    steps the environment and updates the harm fields. Returns the
-    StepResult, the new fields, the action, the distribution it was drawn
-    from and the policy's feature vector, taken before sampling pushes the
-    observation into a window policy's memory.
+    evaluates the policy once (features, then distribution), draws the
+    action as `rng.choice` would, pushes the observation into the policy's
+    memory, steps the environment and updates the harm fields. Returns the
+    StepResult, the new fields, the action, its distribution and features.
     """
     bind = getattr(policy, "bind_env_state", None)
     if bind is not None:
@@ -206,8 +207,12 @@ def agent_step(state, policy: Policy, graph: DiffusionGraph,
         fs = field_features(fields, deform,
                             frontier_regions(state, graph, env_params.refire))
     feats = policy.features(obs, fs)
-    dist = policy.action_distribution(obs, fs)
-    action = policy.sample_action(obs, fs, rng)
+    dist = policy.action_distribution(feats)
+    # rng.choice(len(dist), p=dist)'s draw in Python floats, as its argument
+    # checks cost more than a scripted policy's whole evaluation
+    cdf = list(accumulate(dist.tolist()))
+    action = bisect_right([c / cdf[-1] for c in cdf], rng.random())
+    policy.remember(obs)
     res = env_step(state, Action(action), graph, fields, deform, rng,
                    env_params)
     fields = update_scar(attribute_harm(fields, res.harm, res.causal))

@@ -152,6 +152,32 @@ def test_batched_rollouts_match_env_step_rollouts(refire, stimulus_on,
         assert abs(batched[a].mean() - ref.mean()) <= 5 * se, (a, se)
 
 
+@pytest.mark.parametrize("stimulus_on", [True, False],
+                         ids=["stimulus-on", "stimulus-off"])
+@pytest.mark.parametrize("refire", [False, True], ids=["fire-once", "refire"])
+def test_one_rollout_step_equals_env_step(refire, stimulus_on):
+    # a single one-step rollout draws from its stream exactly as env_step
+    # does under mode off, so both reach the same sensitive count; checked
+    # for every action at each state of a 30-step walk
+    graph = generate_graph(50, 0.8, seed=2)
+    params = EnvParams(k_seed=6, refire=refire)
+    off = DeformationSpec(mode="off")
+    zero = HarmFields.zeros(graph.node_count, FieldParams())
+    state = initial_state(graph, 3, 10)
+    walk = substream(0, 65)
+    for s in range(30):
+        probe = state.copy()
+        probe.stimulus_on = stimulus_on
+        for a in range(3):
+            step = env_step(probe, Action(a), graph, zero, off,
+                            substream(s, 66, a), params)
+            mass = nominal_rollouts(probe, [a], graph, 1,
+                                    substream(s, 66, a), params)
+            assert mass.tolist() == [graph.sensitive[step.state.active].sum()]
+        state = env_step(state, Action(int(walk.integers(3))), graph, zero,
+                         off, walk, params).state
+
+
 def test_shield_filter_at_paper_defaults():
     allowed, sims = shield_filter(_state(), GRAPH, theta=10.0, n_mc=20,
                                   horizon=100, rng=substream(0, 64),

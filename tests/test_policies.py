@@ -16,7 +16,7 @@ OBS = np.array([0.2, 1.0, 0.5, 0.1])
 def test_zero_weights_give_uniform_distribution():
     pol = Policy(kind="softmax")
     pol.set_weights(np.zeros_like(pol.weights))
-    dist = pol.action_distribution(OBS)
+    dist = pol.action_distribution(pol.features(OBS))
     assert np.allclose(dist, 1.0 / 3.0, atol=1e-15)
 
 
@@ -29,13 +29,13 @@ def test_softmax_closed_form():
     w = np.zeros_like(pol.weights)
     w[0, -1] = 1.0
     pol.set_weights(w)
-    assert np.allclose(pol.action_distribution(OBS),
+    assert np.allclose(pol.action_distribution(pol.features(OBS)),
                        softmax(np.array([1.0, 0.0, 0.0])), atol=1e-12)
 
 
 def test_scripted_one_hot_and_uniform_draw_count():
     pol = Policy(kind="scripted", scripted_action=1)
-    dist = pol.action_distribution(OBS)
+    dist = pol.action_distribution(pol.features(OBS))
     assert dist.tolist() == [0.0, 1.0, 0.0]
     rng_a = substream(0, 50)
     rng_b = substream(0, 50)
@@ -46,7 +46,7 @@ def test_scripted_one_hot_and_uniform_draw_count():
 
 def test_sampling_frequencies_match_distribution():
     pol = Policy(kind="softmax", seed=3)
-    dist = pol.action_distribution(OBS)
+    dist = pol.action_distribution(pol.features(OBS))
     rng = substream(0, 51)
     n = 5000
     counts = np.bincount([pol.sample_action(OBS, None, rng) for _ in range(n)],
@@ -80,8 +80,9 @@ def test_window_memory_reset_restores_fresh_behavior():
         pol.sample_action(substream(0, 53).uniform(size=OBS_DIM), None, rng)
     pol.reset_memory()
     assert np.array_equal(pol.features(OBS), fresh.features(OBS))
-    assert np.allclose(pol.action_distribution(OBS),
-                       fresh.action_distribution(OBS), atol=1e-15)
+    assert np.allclose(pol.action_distribution(pol.features(OBS)),
+                       fresh.action_distribution(fresh.features(OBS)),
+                       atol=1e-15)
 
 
 def test_window_features_most_recent_first_zero_padded():
@@ -126,10 +127,11 @@ def test_zero_reward_batch_leaves_weights_unchanged():
     trainer = TrainerState(policy=pol)
     t = 16
     feats = np.array([pol.features(OBS) for _ in range(t)])
+    p0 = pol.action_distribution(feats[0])[0]
     batch = Batch(features=feats, actions=np.zeros(t, dtype=int),
                   rewards=np.zeros(t), g_sums=np.zeros(t),
                   h_increments=np.zeros(t),
-                  old_logp=np.log(np.full(t, pol.action_distribution(OBS)[0])),
+                  old_logp=np.log(np.full(t, p0)),
                   starts=np.zeros(t, dtype=bool))
     train_epoch(trainer, batch)
     assert np.max(np.abs(pol.weights - before)) < 1e-10

@@ -1,5 +1,7 @@
 """Three-phase episode protocol: resets, pairing, persistence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,20 @@ def test_policy_weights_unchanged_and_hash_recorded():
     assert rec.policy_hash == h == pol.weight_hash()
 
 
+def test_policy_evaluated_once_per_step(monkeypatch):
+    calls = Counter()
+    for name in ("features", "action_distribution", "sample_action",
+                 "remember"):
+        def counted(self, *args, _fn=getattr(Policy, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Policy, name, counted)
+    _run(RsdConfig(t_exp=10, t_decay=5, t_rep=10),
+         policy=_policy(kind="window", window=3))
+    assert calls == {"features": 25, "action_distribution": 25,
+                     "remember": 25}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RsdConfig(t_exp=0)
@@ -146,10 +162,18 @@ def test_config_validation():
 
 
 # Phase trajectory hashes of one episode of an augmented softmax policy under
-# full deformation, bare and shielded; a change meant to preserve behaviour
+# full deformation, bare and shielded, and bare under top-k and local
+# deformation (which gate only some destinations of the injection
+# categoricals and diffusion edges); a change meant to preserve behaviour
 # must leave them unchanged. All three actions occur in the exposure and
-# replay phases of both.
+# replay phases of each.
 PINNED_ENV = EnvParams(refire=False)
+PINNED_DEFORM = {
+    "bare": FULL, "shielded": FULL,
+    "topk": FULL.with_mode("topk", k=1),
+    "local": FULL.with_mode("local", local_regions=frozenset(
+        int(s) for s in GRAPH.sensitive_nodes[::3])),
+}
 PINNED_HASHES = {
     "bare": ["f14d19b5119322ee3a9f677e8307092fe58ffc2ecf3965d87b50c88be7431ffa",
              "00c3268298ab192e64239ba0fadde07c76b03b930828474b75079b3efdb59ae7",
@@ -157,10 +181,16 @@ PINNED_HASHES = {
     "shielded": ["901558f9d78145fc4df106a2b1c0b67a19a527e222fdb6b8f14a8d8ffa070d66",
                  "f1040130efe528722c0da20dd7ecfd8e5d39a8d6f7f7edfdc20903ab283c00b4",
                  "314b5d668c2e0f612cc82e9e8c9be5a2ba7bcbfc0a88c132947a144e76c6890a"],
+    "topk": ["f14d19b5119322ee3a9f677e8307092fe58ffc2ecf3965d87b50c88be7431ffa",
+             "00c3268298ab192e64239ba0fadde07c76b03b930828474b75079b3efdb59ae7",
+             "65cab474da6b71f099a71b6629004c8d81e1903fe668408129cd9ae48d4f1116"],
+    "local": ["f14d19b5119322ee3a9f677e8307092fe58ffc2ecf3965d87b50c88be7431ffa",
+              "00c3268298ab192e64239ba0fadde07c76b03b930828474b75079b3efdb59ae7",
+              "6069fede78fe854febda2dddaf22ab48ba386a18a83c3184ee02fe17232c34ba"],
 }
 
 
-@pytest.mark.parametrize("wrap", ["bare", "shielded"])
+@pytest.mark.parametrize("wrap", ["bare", "shielded", "topk", "local"])
 def test_augmented_episode_traj_hashes_pinned(wrap):
     w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
     policy = _policy(feature_mode="augmented", weights=w)
@@ -169,6 +199,6 @@ def test_augmented_episode_traj_hashes_pinned(wrap):
                                 ShieldParams(theta=30.0, n_mc=2, horizon=5),
                                 PINNED_ENV, FieldParams(delay=10), 7)
     rec = _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60), policy=policy,
-               deform=FULL, env=PINNED_ENV, delay=10)
+               deform=PINNED_DEFORM[wrap], env=PINNED_ENV, delay=10)
     assert [rec.phases[p].traj_hash for p in ("exposure", "decay", "replay")] \
         == PINNED_HASHES[wrap]
