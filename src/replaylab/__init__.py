@@ -14,7 +14,7 @@ from .deformation import (DeformationSpec, apply_mode, conductance,
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvParams, EnvState,
                         StepResult, env_step, generate_graph, initial_state,
-                        observe, phase_reset, stimulus_seed_set)
+                        observe, stimulus_seed_set)
 from .harm_memory import FieldParams, HarmFields, attribute_harm, update_scar
 from .metrics import (action_shift_distance, containment_radius,
                       discounted_return, episode_metrics, odds_ratio_series,
@@ -22,7 +22,7 @@ from .metrics import (action_shift_distance, containment_radius,
 from .policies import Policy, field_features, softmax
 from .rng import stream_seed, substream
 from .rsd import (PhaseSeries, RsdConfig, RsdEpisodeRecord, run_rsd_episode,
-                  scar_evolution)
+                  run_rsd_episodes, scar_evolution)
 from .training import (Batch, TrainerState, dual_update, gae_advantages,
                        ss_penalty_update, surrogate_loss_and_grad,
                        train_epoch)

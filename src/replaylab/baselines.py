@@ -16,15 +16,15 @@ import numpy as np
 
 from .config import KNOWN_METHODS, RunConfig, ShieldParams
 from .errors import ConfigError, ProtocolError
-from .graph_env import (Action, DiffusionGraph, EnvParams, initial_state,
+from .graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                         nominal_rollouts)
 from .harm_memory import FieldParams, HarmFields
 from .metrics import discounted_return, episode_metrics, replay_return, welch_ttest
 from .policies import Policy
 from .rng import substream
-from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episode
-from .training import (Batch, TrainerState, dual_update, ss_penalty_update,
-                       train_epoch)
+from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episodes
+from .training import (Batch, TrainerState, check_finite, dual_update,
+                       ss_penalty_update, train_epoch)
 
 __all__ = [
     "MethodConfig", "method_config", "ShieldParams", "ShieldedPolicy",
@@ -236,31 +236,30 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
                            math.ceil((total_steps - steps_done) / ep_len))):
             z = stimuli[ep_index % len(stimuli)]
             ep_index += 1
-            fields = HarmFields.zeros(graph.node_count, cfg.field_params)
-            state = initial_state(graph, z, cfg.field_params.delay,
-                                  stimulus_on=True)
+            fields = HarmFields.zeros((1, graph.node_count), cfg.field_params)
+            batch = EnvBatch.initial(graph, (z,), cfg.field_params.delay)
             policy.reset_memory()
             first = True
             trace = 0.0
             for _ in range(ep_len):
-                res, new_fields, a, dist, f = agent_step(
-                    state, policy, graph, fields, deform, rng, ep_len,
+                step, new_fields, [a], [dist], [f] = agent_step(
+                    batch, [policy], graph, fields, deform, [rng], ep_len,
                     env_params)
-                scar_inc = float(new_fields.H.sum() - fields.H.sum())
+                scar_inc = float(new_fields.H[0].sum() - fields.H[0].sum())
                 fields = new_fields
-                state = res.state
-                reward = res.reward
+                batch = step.batch
+                reward, harm = float(step.reward[0]), float(step.harm[0])
                 if mcfg.cost_wiring == "instant":
-                    ss_penalty = ss_penalty_update(ss_penalty, res.harm,
+                    ss_penalty = ss_penalty_update(ss_penalty, harm,
                                                    trainer.lr_dual)
-                    reward -= ss_penalty * res.harm
+                    reward -= ss_penalty * harm
                 elif mcfg.cost_wiring == "delayed_trace":
-                    trace = 0.98 * trace + res.harm
+                    trace = 0.98 * trace + harm
                     reward -= 0.01 * trace
                 feats.append(f)
                 acts.append(a)
                 rews.append(reward)
-                gsums.append(float(fields.G.sum()))
+                gsums.append(float(fields.G[0].sum()))
                 hincs.append(scar_inc)
                 logps.append(float(np.log(max(dist[a], 1e-300))))
                 starts.append(first)
@@ -277,6 +276,8 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
             batch.h_increments = np.zeros(len(batch))
         for _ in range(tr_cfg["epochs_per_batch"]):
             trainer = train_epoch(trainer, batch)
+        check_finite(trainer, f"training {mcfg.method} on graph seed "
+                              f"{graph.seed} diverged by step {steps_done}")
         if use_duals:
             trainer = dual_update(trainer, batch)
     return policy
@@ -318,35 +319,44 @@ def _checkpoint(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig,
     return checkpoints[key]
 
 
-def _run_episode_task(args):
-    cfg, mcfg, checkpoint_json, graph, ep_index, z = args
-    seed = _episode_seed(cfg["master_seed"], graph.seed, ep_index)
-    policy = Policy.from_json(checkpoint_json).freeze()
-    if mcfg.shield is not None:
-        policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
-                                cfg.field_params, seed)
-    rsd_cfg = replace(cfg.rsd_config, z=z,
-                      replay_deformation=mcfg.replay_deformation)
+def _run_episodes_task(args):
+    """The records of one contiguous run of a method's episodes on a graph,
+    stepped together."""
+    cfg, mcfg, checkpoint_json, graph, episodes = args
+    stimuli = cfg.section("rsd")["stimuli"]
+    seeds = [_episode_seed(cfg["master_seed"], graph.seed, ep) for ep in episodes]
+    policies = []
+    for seed in seeds:
+        policy = Policy.from_json(checkpoint_json).freeze()
+        if mcfg.shield is not None:
+            policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
+                                    cfg.field_params, seed)
+        policies.append(policy)
+    configs = [replace(cfg.rsd_config, z=stimuli[ep % len(stimuli)],
+                       replay_deformation=mcfg.replay_deformation)
+               for ep in episodes]
     fields = HarmFields.zeros(graph.node_count, cfg.field_params)
-    return run_rsd_episode(rsd_cfg, policy, graph, fields,
-                           cfg.deform(mcfg.eval_deform_mode, graph), seed,
-                           cfg.env_params)
+    return run_rsd_episodes(configs, policies, graph, fields,
+                            cfg.deform(mcfg.eval_deform_mode, graph), seeds,
+                            cfg.env_params)
 
 
 def run_method_episodes(cfg: RunConfig, mcfg: MethodConfig,
                         checkpoint_json: str, graph: DiffusionGraph,
                         theta_override: float | None = None) -> list:
-    """All episodes of one method on one graph, in episode order."""
+    """All episodes of one method on one graph, in episode order: one
+    batch of them, or with `workers` > 1 one contiguous chunk per worker."""
     if theta_override is not None and mcfg.shield is not None:
         mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta_override))
-    stimuli = cfg.section("rsd")["stimuli"]
-    tasks = [(cfg, mcfg, checkpoint_json, graph, ep, stimuli[ep % len(stimuli)])
-             for ep in range(cfg["episodes"])]
-    if cfg["workers"] > 1:
+    chunks = [c.tolist() for c in np.array_split(np.arange(cfg["episodes"]),
+                                                 cfg["workers"]) if c.size]
+    tasks = [(cfg, mcfg, checkpoint_json, graph, chunk) for chunk in chunks]
+    if len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
-            return list(ex.map(_run_episode_task, tasks))
-    return [_run_episode_task(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
+            return [rec for recs in ex.map(_run_episodes_task, tasks)
+                    for rec in recs]
+    return _run_episodes_task(tasks[0])
 
 
 def _report_methods(cfg: RunConfig) -> list:
@@ -556,4 +566,4 @@ def _write_records(out_dir, run_id, method, graph_seed, records) -> None:
     for rec in records:
         p = os.path.join(d, f"{rec.episode_seed}.jsonl")
         with open(p, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+            fh.write(json.dumps(rec.to_dict(), check_circular=False) + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
@@ -27,16 +27,23 @@ __all__ = [
     "DiffusionGraph",
     "EnvParams",
     "EnvState",
+    "EnvBatch",
     "StepResult",
+    "BatchStep",
     "generate_graph",
     "check_graph_args",
     "select_sensitive_subgraph",
     "stimulus_seed_set",
     "initial_state",
     "observe",
+    "observe_batch",
     "env_step",
+    "env_steps",
     "nominal_rollouts",
     "frontier_regions",
+    "frontier_mask",
+    "stimulus_rows",
+    "segment_sums",
     "edge_gate_mask",
 ]
 
@@ -91,6 +98,8 @@ class DiffusionGraph:
     _hop_cache: dict = field(default_factory=dict, repr=False)
     _seed_cache: dict = field(default_factory=dict, repr=False)
     _gate_mask_cache: dict = field(default_factory=dict, repr=False)
+    # batched stepping: copies' edge arrays, stimulus rows, injection rows
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.out_ptr is None:
@@ -311,6 +320,11 @@ def stimulus_seed_set(z: int, graph: DiffusionGraph, k_seed: int = 3,
 
 # ---------------------------------------------------------------------------
 # environment state and stepping
+#
+# B copies of the environment on one graph step together as one flat state:
+# copy b's node v is entry b*N + v, and its edge e is entry b*E + e of the
+# flat edge arrays (`_copies`). `env_steps` is the transition of B copies;
+# `env_step` is its one-copy call.
 
 
 @dataclass
@@ -332,53 +346,129 @@ class EnvState:
         )
 
 
+@dataclass
+class EnvBatch:
+    """The states of B copies in lockstep: one clock and one stimulus
+    switch, and a stimulus identity per copy."""
+
+    active: np.ndarray              # bool [B, N]
+    newly: np.ndarray               # bool [B, N]
+    time: int
+    phase_time: int
+    stimuli: tuple                  # stimulus identity z of each copy
+    stimulus_on: bool
+    delay_buffer: deque             # flat active-node index arrays, maxlen D+1
+
+    @classmethod
+    def initial(cls, graph: DiffusionGraph, stimuli, delay: int,
+                stimulus_on: bool = True) -> "EnvBatch":
+        shape = (len(stimuli), graph.node_count)
+        return cls(active=np.zeros(shape, dtype=bool),
+                   newly=np.zeros(shape, dtype=bool), time=0, phase_time=0,
+                   stimuli=tuple(stimuli), stimulus_on=stimulus_on,
+                   delay_buffer=deque([np.empty(0, dtype=np.int64)],
+                                      maxlen=delay + 1))
+
+    @classmethod
+    def of(cls, state: EnvState) -> "EnvBatch":
+        """One copy holding `state`, whose arrays and buffer it shares."""
+        return cls(active=state.active[None], newly=state.newly[None],
+                   time=state.time, phase_time=state.phase_time,
+                   stimuli=(state.stimulus,), stimulus_on=state.stimulus_on,
+                   delay_buffer=state.delay_buffer)
+
+    def episode(self, b: int) -> EnvState:
+        """Copy b as an EnvState; its active and newly arrays are views,
+        and a single copy shares the delay buffer."""
+        buf = self.delay_buffer
+        if len(self.active) > 1:
+            n = self.active.shape[1]
+            buf = deque((a[np.searchsorted(a, b * n):np.searchsorted(a, b * n + n)]
+                         - b * n for a in buf), maxlen=buf.maxlen)
+        return EnvState(active=self.active[b], newly=self.newly[b],
+                        time=self.time, phase_time=self.phase_time,
+                        stimulus=self.stimuli[b], stimulus_on=self.stimulus_on,
+                        delay_buffer=buf)
+
+    def reset(self, *, stimulus_on: bool,
+              truncate_buffer: bool = False) -> "EnvBatch":
+        """Reset the observable part of the state (x*): empty active sets,
+        phase clock zero. Environment-side memory (the delay buffer)
+        persists unless truncated."""
+        new = replace(self, active=np.zeros_like(self.active),
+                      newly=np.zeros_like(self.newly), phase_time=0,
+                      stimulus_on=stimulus_on)
+        if truncate_buffer:
+            new.delay_buffer = deque([np.empty(0, dtype=np.int64)],
+                                     maxlen=self.delay_buffer.maxlen)
+            new.time = 0
+        return new
+
+
 def initial_state(graph: DiffusionGraph, z: int, delay: int,
                   stimulus_on: bool = True) -> EnvState:
-    n = graph.node_count
-    buf = deque(maxlen=delay + 1)
-    buf.append(np.empty(0, dtype=np.int64))
-    return EnvState(
-        active=np.zeros(n, dtype=bool), newly=np.zeros(n, dtype=bool),
-        time=0, phase_time=0, stimulus=z, stimulus_on=stimulus_on,
-        delay_buffer=buf,
-    )
+    return EnvBatch.initial(graph, (z,), delay, stimulus_on).episode(0)
 
 
-def phase_reset(state: EnvState, graph: DiffusionGraph, *, stimulus_on: bool,
-                truncate_buffer: bool = False) -> EnvState:
-    """Reset the observable part of the state (x*): empty active set, phase
-    clock zero. Environment-side memory (delay buffer) persists unless
-    truncated."""
-    n = graph.node_count
-    new = state.copy()
-    new.active = np.zeros(n, dtype=bool)
-    new.newly = np.zeros(n, dtype=bool)
-    new.phase_time = 0
-    new.stimulus_on = stimulus_on
-    if truncate_buffer:
-        new.delay_buffer = deque(maxlen=state.delay_buffer.maxlen)
-        new.delay_buffer.append(np.empty(0, dtype=np.int64))
-        new.time = 0
-    return new
+def _copies(graph: DiffusionGraph, b: int):
+    """Flat (src, dst) edge arrays of b copies of the graph."""
+    if b not in graph._cache:
+        offset = np.arange(b)[:, None] * graph.node_count
+        graph._cache[b] = ((graph.edge_src + offset).ravel(),
+                                (graph.edge_dst + offset).ravel())
+    return graph._cache[b]
+
+
+def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
+    """For B copies with these stimuli: the undirected hop distances [B, N]
+    from each copy's seed set (-1 unreachable), and the seed sets as flat
+    node indices b*N + s [B, k]."""
+    key = (tuple(stimuli), params.k_seed, params.seed_pool)
+    if key not in graph._cache:
+        seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
+                 for z in stimuli]
+        offset = np.arange(len(seeds))[:, None] * graph.node_count
+        graph._cache[key] = (
+            np.stack([graph.hop_distance_from(s) for s in seeds]),
+            np.stack(seeds) + offset)
+    return graph._cache[key]
+
+
+def segment_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Sums of the consecutive segments of `values` with these lengths,
+    each summed as np.sum sums it (np.add.reduceat adds in sequence and
+    can differ from np.sum in the last bits)."""
+    ends = np.cumsum(counts).tolist()
+    return np.array([np.add.reduce(values[lo:hi]) if hi > lo else 0.0
+                     for lo, hi in zip([0] + ends, ends)], dtype=float)
 
 
 def observe(state: EnvState, graph: DiffusionGraph, t_phase: int,
             params: "EnvParams | None" = None) -> np.ndarray:
     """Feature vector (normalized reach, hop centroid, hop spread, phase time)."""
+    return observe_batch(EnvBatch.of(state), graph, t_phase, params)[0]
+
+
+def observe_batch(batch: EnvBatch, graph: DiffusionGraph, t_phase: int,
+                  params: "EnvParams | None" = None) -> np.ndarray:
+    """`observe` of B copies, one row per copy.
+
+    The hop centroid and spread are the mean and standard deviation of the
+    hop distances of the copy's active nodes that its seeds reach; each row
+    equals what np.mean and np.std give on that copy's distances.
+    """
     params = params or EnvParams()
-    seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
-                              params.seed_pool)
-    dist = graph.hop_distance_from(seeds)
-    act = np.flatnonzero(state.active)
-    reach = act.size / graph.node_count
-    if act.size:
-        d = dist[act]
-        d = d[d >= 0]
-    else:
-        d = np.empty(0)
-    centroid = float(d.mean()) if d.size else 0.0
-    spread = float(d.std()) if d.size else 0.0
-    return np.array([reach, centroid, spread, state.phase_time / max(t_phase, 1)])
+    dist, _ = stimulus_rows(graph, batch.stimuli, params)
+    seen = batch.active & (dist >= 0)
+    count = seen.sum(axis=1)
+    centroid = np.where(seen, dist, 0).sum(axis=1) / np.maximum(count, 1)
+    dev = dist[seen] - np.repeat(centroid, count)
+    obs = np.empty((len(count), 4))
+    obs[:, 0] = batch.active.sum(axis=1) / graph.node_count
+    obs[:, 1] = centroid
+    obs[:, 2] = np.sqrt(segment_sums(dev * dev, count) / np.maximum(count, 1))
+    obs[:, 3] = batch.phase_time / max(t_phase, 1)
+    return obs
 
 
 def edge_gate_mask(graph: DiffusionGraph, spec: DeformationSpec) -> np.ndarray:
@@ -414,57 +504,100 @@ class StepResult:
     odds: tuple                     # (p, q, p0, q0) for sensitive entry this step
 
 
+@dataclass
+class BatchStep:
+    """The StepResult of B copies."""
+
+    batch: EnvBatch
+    reward: np.ndarray              # float [B]
+    harm: np.ndarray                # float [B]
+    causal: np.ndarray              # flat indices b*N + r of A_{t-D} ∩ V_sens
+    odds: np.ndarray                # float [B, 4], (p, q, p0, q0) per copy
+
+
 def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,
                     src_mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(src_mask[src] & ~active[dst])
 
 
+def frontier_mask(batch: EnvBatch, graph: DiffusionGraph,
+                  refire: bool) -> np.ndarray:
+    """(B, N) mask of the inactive regions a frontier edge points into; the
+    frontier's sources are the active nodes under refire, else the nodes
+    that activated on the previous step."""
+    src, dst = _copies(graph, len(batch.active))
+    active = batch.active.ravel()
+    mask = np.zeros_like(active)
+    mask[dst[_frontier_edges(src, dst, active,
+                             active if refire else batch.newly.ravel())]] = True
+    return mask.reshape(batch.active.shape)
+
+
 def frontier_regions(state: EnvState, graph: DiffusionGraph,
                      refire: bool) -> np.ndarray:
-    """Inactive regions a frontier edge points into; the frontier's sources
-    are the active nodes under refire, else the nodes that activated on the
-    previous step."""
-    idx = _frontier_edges(graph.edge_src, graph.edge_dst, state.active,
-                          state.active if refire else state.newly)
-    return np.unique(graph.edge_dst[idx])
+    """Sorted regions of `frontier_mask` for one copy."""
+    return np.flatnonzero(frontier_mask(EnvBatch.of(state), graph, refire)[0])
 
 
-def _advance(active, newly, injected, src, dst, p, refire, rng):
+def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     """One transition on a flat node array: activate the injected nodes,
-    then fire each frontier edge e once with probability p[e]. Without
-    `refire` the frontier's sources are the previous step's `newly`, so a
-    node's out-edges are tried once, on the step after it activates.
-    Returns the new active and newly arrays and the frontier's edges."""
+    then fire each frontier edge once, with probability `p_at(idx)` against
+    the uniforms `draw(idx)` for the frontier's edges idx. Without `refire`
+    the frontier's sources are the previous step's `newly`, so a node's
+    out-edges are tried once, on the step after it activates. Returns the
+    new active and newly arrays, the frontier's edges and their
+    probabilities."""
     new = np.zeros_like(active)
     new[injected] = True
     new &= ~active
     active = active | new
     idx = _frontier_edges(src, dst, active, active if refire else newly)
-    fired = dst[idx[rng.random(idx.size) < p[idx]]]
+    p = p_at(idx)
+    fired = dst[idx[draw(idx) < p]]
     active[fired] = True
     new[fired] = True
-    return active, new, idx
+    return active, new, idx, p
+
+
+def _law_rows(graph: DiffusionGraph, seeds: np.ndarray, action: Action):
+    """The nominal rows of a step's injection draws, as (nodes, nominal,
+    real): Conservative picks one seed (uniformly), Aggressive one
+    out-neighbour per seed with out-edges (by edge_p). Rows are padded
+    with node 0 at probability 0; `real` marks the entries that are not."""
+    key = (int(action), tuple(seeds.tolist()))
+    if key not in graph._cache:
+        if action == Action.CONSERVATIVE:
+            rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
+        else:
+            rows = [(d, pe / pe.sum())
+                    for d, pe in map(graph.out_edges_of, seeds) if d.size]
+        nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
+                         dtype=np.int64)
+        nominal = np.zeros(nodes.shape)
+        for j, (d, p) in enumerate(rows):
+            nodes[j, :d.size] = d
+            nominal[j, :d.size] = p
+        graph._cache[key] = nodes, nominal, nominal > 0
+    return graph._cache[key]
 
 
 def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
                   deform: DeformationSpec, action: Action):
-    """(nodes, cdf) rows of a step's injection draws: Conservative picks one
-    seed (nominally uniform), Aggressive one out-neighbour per seed with
-    out-edges (nominally by edge_p). Rows go through `apply_mode`, get
-    their CDF as `rng.choice` computes it, and are padded with 2.0."""
-    if action == Action.CONSERVATIVE:
-        rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
+    """(nodes, cdf) rows of a step's injection draws (`_law_rows`). Rows go
+    through `apply_mode` and get their CDF as `rng.choice` computes it;
+    padding gets 2.0. Rows narrower than numpy's 8-wide pairwise-sum block
+    are reweighted together, as zero padding leaves their sums exact;
+    wider ones one by one."""
+    nodes, nominal, real = _law_rows(graph, seeds, action)
+    if nodes.shape[1] < 8:
+        prob = apply_mode(nominal, psi[nodes], deform, regions=nodes)
     else:
-        rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
-                if d.size]
-    nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
-                     dtype=np.int64)
-    cdf = np.full(nodes.shape, 2.0)
-    for j, (d, nominal) in enumerate(rows):
-        c = np.cumsum(apply_mode(nominal, psi[d], deform, regions=d))
-        nodes[j, :d.size] = d
-        cdf[j, :d.size] = c / c[-1]
-    return nodes, cdf
+        prob = np.zeros(nominal.shape)
+        for j, r in enumerate(real):
+            prob[j, r] = apply_mode(nominal[j, r], psi[nodes[j, r]], deform,
+                                    regions=nodes[j, r])
+    c = np.cumsum(prob, axis=1)
+    return nodes, np.where(real, c / c[:, -1:], 2.0)
 
 
 def _pick(law, u: np.ndarray) -> np.ndarray:
@@ -477,75 +610,110 @@ def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
              fields: HarmFields, deform: DeformationSpec,
              rng: np.random.Generator,
              params: EnvParams | None = None) -> StepResult:
-    """One environment step: injection, diffusion, reward, delayed harm.
+    """One environment step of one copy: `env_steps` at B=1.
 
     The RNG draw count depends only on (observable state, action, graph,
     stimulus), which makes paired-stream replay exact.
     """
+    step = env_steps(EnvBatch.of(state), [action], graph,
+                     HarmFields(G=fields.G[None], H=fields.H[None],
+                                params=fields.params),
+                     deform, [rng], params)
+    return StepResult(state=step.batch.episode(0), reward=float(step.reward[0]),
+                      harm=float(step.harm[0]), causal=step.causal,
+                      odds=tuple(step.odds[0].tolist()))
+
+
+def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
+              fields: HarmFields, deform: DeformationSpec, rngs,
+              params: EnvParams | None = None) -> BatchStep:
+    """One environment step of B copies: injection, diffusion, reward,
+    delayed harm.
+
+    `fields` holds (B, N) fields; copy b takes `actions[b]` and draws from
+    `rngs[b]` alone: its injection uniforms, then one uniform per frontier
+    edge of its own, as a one-copy step draws them. So each copy's result
+    equals its one-copy step bit for bit.
+    """
     params = params or EnvParams()
     fp = fields.params
-    n = graph.node_count
+    b_count, n = batch.active.shape
+    e = graph.edge_src.size
+    actions = np.asarray(actions, dtype=np.int64)
+    # copy b's region r is entry b*N + r of the flat fields
+    flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(), params=fp)
 
-    # delayed harm from the causal active set A_{t-D}
-    if state.time >= fp.delay and len(state.delay_buffer) == fp.delay + 1:
-        past = state.delay_buffer[0]
-        causal = past[graph.sensitive[past]]
-        harm = min(HARM_PER_SENSITIVE_NODE * causal.size, 1.0)
-    else:
-        causal = np.empty(0, dtype=np.int64)
-        harm = 0.0
-
-    psi_nodes = conductance(np.arange(n), fields, deform)
+    # delayed harm from the causal active sets A_{t-D}
+    causal, harm = np.empty(0, dtype=np.int64), np.zeros(b_count)
+    if batch.time >= fp.delay and len(batch.delay_buffer) == fp.delay + 1:
+        past = batch.delay_buffer[0]
+        causal = past[graph.sensitive[past % n]]
+        harm = np.minimum(HARM_PER_SENSITIVE_NODE
+                          * np.bincount(causal // n, minlength=b_count), 1.0)
 
     # seed injection: every seed unless Conservative, plus any drawn picks
-    injected = np.empty(0, dtype=np.int64)
-    if state.stimulus_on:
-        seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
-                                  params.seed_pool)
-        if action != Action.CONSERVATIVE:
-            injected = seeds
-        if action != Action.MODERATE:
-            law = _stimulus_law(graph, seeds, psi_nodes, deform, action)
-            injected = np.concatenate(
-                [injected, _pick(law, rng.random(len(law[0])))])
+    injected = [np.empty(0, dtype=np.int64)]
+    if batch.stimulus_on:
+        _, seeds = stimulus_rows(graph, batch.stimuli, params)
+        injected.append(seeds[actions != Action.CONSERVATIVE].ravel())
+        for b in np.flatnonzero(actions != Action.MODERATE).tolist():
+            psi = conductance(None, HarmFields(G=fields.G[b], H=fields.H[b],
+                                               params=fp), deform)
+            law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
+                                Action(actions[b]))
+            injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
 
     # cascade diffusion over frontier edges, gated by destination conductance
-    p_eff = graph.edge_p
+    src, dst = _copies(graph, b_count)
     gmask = edge_gate_mask(graph, deform)
-    if gmask.any():
-        p_eff = np.where(gmask, gate_edge_prob(p_eff, psi_nodes[graph.edge_dst]),
-                         p_eff)
-    active, newly, idx = _advance(state.active, state.newly, injected,
-                                  graph.edge_src, graph.edge_dst, p_eff,
-                                  params.refire, rng)
 
-    # analytic sensitive-entry odds at this realized (state, action)
-    sens = idx[graph.sensitive[graph.edge_dst[idx]]]
+    def p_at(idx):
+        p = graph.edge_p[idx % e]
+        gated = gmask[idx % e]
+        if gated.any():
+            p = np.where(gated, gate_edge_prob(p, conductance(dst[idx], flat,
+                                                              deform)), p)
+        return p
+
+    def draw(idx):
+        counts = np.bincount(idx // e, minlength=b_count).tolist()
+        return np.concatenate([np.empty(0)] + [r.random(c) for r, c in
+                                               zip(rngs, counts) if c])
+
+    active, newly, idx, p_eff = _advance(
+        batch.active.ravel(), batch.newly.ravel(), np.concatenate(injected),
+        src, dst, p_at, params.refire, draw)
+
+    # analytic sensitive-entry odds at each copy's realized (state, action);
+    # survival products kept exact so tiny q values do not cancel to 0
+    to_sens = graph.sensitive[dst[idx] % n]
+    sens = idx[to_sens]
+    odds = np.empty((b_count, 4))
+    odds[:] = (0.0, 1.0, 0.0, 1.0)
     if sens.size:
-        # survival products kept exact so tiny q values do not cancel to 0
-        q_g = float(np.prod(1.0 - p_eff[sens]))
-        q_0 = float(np.prod(1.0 - graph.edge_p[sens]))
-        odds = (1.0 - q_g, q_g, 1.0 - q_0, q_0)
-    else:
-        odds = (0.0, 1.0, 0.0, 1.0)
+        copy = sens // e
+        start = np.flatnonzero(np.diff(copy, prepend=-1))
+        q_g = np.multiply.reduceat(1.0 - p_eff[to_sens], start)
+        q_0 = np.multiply.reduceat(1.0 - graph.edge_p[sens % e], start)
+        odds[copy[start]] = np.column_stack([1.0 - q_g, q_g, 1.0 - q_0, q_0])
 
-    prev_count = int(state.active.sum())
-    new_count = int(active.sum())
+    prev_count = batch.active.sum(axis=1)
+    active = active.reshape(b_count, n)
+    new_count = active.sum(axis=1)
     if params.reward == "log":
         reward = (np.log1p(new_count) - np.log1p(prev_count)) / np.log1p(n)
     else:
         reward = (new_count - prev_count) / n
-    reward -= params.action_costs[int(action)]
+    reward -= np.asarray(params.action_costs)[actions]
 
-    buf = deque(state.delay_buffer, maxlen=state.delay_buffer.maxlen)
-    buf.append(np.flatnonzero(active).astype(np.int64))
-    new_state = EnvState(
-        active=active, newly=newly, time=state.time + 1,
-        phase_time=state.phase_time + 1, stimulus=state.stimulus,
-        stimulus_on=state.stimulus_on, delay_buffer=buf,
-    )
-    return StepResult(state=new_state, reward=float(reward), harm=float(harm),
-                      causal=causal, odds=odds)
+    buf = deque(batch.delay_buffer, maxlen=batch.delay_buffer.maxlen)
+    buf.append(np.flatnonzero(active))
+    new_batch = EnvBatch(active=active, newly=newly.reshape(b_count, n),
+                         time=batch.time + 1, phase_time=batch.phase_time + 1,
+                         stimuli=batch.stimuli, stimulus_on=batch.stimulus_on,
+                         delay_buffer=buf)
+    return BatchStep(batch=new_batch, reward=reward, harm=harm, causal=causal,
+                     odds=odds)
 
 
 def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
@@ -566,8 +734,7 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
     actions = np.asarray(actions, dtype=np.int64)
     b, n = actions.size, graph.node_count
     offset = np.arange(b) * n
-    src = (graph.edge_src + offset[:, None]).ravel()
-    dst = (graph.edge_dst + offset[:, None]).ravel()
+    src, dst = _copies(graph, b)
     p = np.tile(graph.edge_p, b)
     active, newly = np.tile(state.active, b), np.tile(state.newly, b)
     fixed = cons = agg = np.empty(0, dtype=np.int64)  # node offsets
@@ -592,7 +759,9 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
         if agg.size:
             ua = u[cons.size:].reshape(agg.size, rows)
             injected.append((agg[:, None] + _pick(agg_law, ua)).ravel())
-        active, newly, _ = _advance(active, newly, np.concatenate(injected),
-                                    src, dst, p, params.refire, rng)
+        active, newly, _, _ = _advance(active, newly,
+                                       np.concatenate(injected), src, dst,
+                                       p.__getitem__, params.refire,
+                                       lambda idx: rng.random(idx.size))
         mass += (active.reshape(b, n) & graph.sensitive).sum(axis=1)
     return mass

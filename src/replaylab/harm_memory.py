@@ -37,12 +37,15 @@ class FieldParams:
 
 @dataclass
 class HarmFields:
+    """Trace G and scar H over regions: [N], or [B, N] for B copies."""
+
     G: np.ndarray
     H: np.ndarray
     params: FieldParams
 
     @classmethod
-    def zeros(cls, regions: int, params: FieldParams | None = None) -> "HarmFields":
+    def zeros(cls, regions, params: FieldParams | None = None) -> "HarmFields":
+        """Zero fields over `regions` regions, or of shape (B, N)."""
         params = params or FieldParams()
         return cls(G=np.zeros(regions), H=np.zeros(regions), params=params)
 
@@ -58,22 +61,27 @@ class HarmFields:
         }
 
 
-def attribute_harm(fields: HarmFields, harm: float, causal_regions) -> HarmFields:
+def attribute_harm(fields: HarmFields, harm, causal_regions) -> HarmFields:
     """Decay the trace and inject attributed harm.
 
     G'_r = (1 - lam) G_r + alpha * harm * w(r) with w uniform on the causal
-    set; an empty causal set gives pure decay. Returns a new HarmFields.
+    set; an empty causal set gives pure decay. For the fields of B copies
+    (G of shape (B, N)) `harm` holds one value per copy and
+    `causal_regions` flat indices b*N + r. Returns a new HarmFields.
     """
-    if not (0.0 <= harm <= 1.0):
+    harm = np.asarray(harm, dtype=float).ravel()
+    if not ((harm >= 0.0) & (harm <= 1.0)).all():
         raise ValueError("harm must lie in [0, 1]")
     p = fields.params
     causal = np.asarray(causal_regions, dtype=int)
-    if harm > 0 and causal.size == 0:
-        # the delayed-harm formula makes this combination impossible
-        raise ValueError("positive harm requires a nonempty causal set")
     g = (1.0 - p.lam) * fields.G
-    if harm > 0 and causal.size > 0:
-        g[causal] += p.alpha * harm / causal.size
+    if causal.size or harm.any():
+        n = fields.G.shape[-1]
+        per_copy = np.bincount(causal // n, minlength=harm.size)
+        if ((harm > 0) & (per_copy == 0)).any():
+            # the delayed-harm formula makes this combination impossible
+            raise ValueError("positive harm requires a nonempty causal set")
+        g.ravel()[causal] += (p.alpha * harm / np.maximum(per_copy, 1))[causal // n]
     return HarmFields(G=g, H=fields.H.copy(), params=p)
 
 

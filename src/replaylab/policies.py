@@ -17,14 +17,16 @@ import numpy as np
 
 from .deformation import DeformationSpec, conductance
 from .errors import ProtocolError
+from .graph_env import segment_sums
 from .harm_memory import HarmFields
 
 __all__ = ["Policy", "N_ACTIONS", "OBS_DIM", "FIELD_FEATURE_DIM",
-           "field_features", "softmax"]
+           "field_features", "field_features_batch", "softmax"]
 
 N_ACTIONS = 3
 OBS_DIM = 4
 FIELD_FEATURE_DIM = 5
+_BIAS = np.ones(1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -37,14 +39,31 @@ def field_features(fields: HarmFields, deform: DeformationSpec,
                    frontier_regions: np.ndarray) -> np.ndarray:
     """Summaries of the harm fields fed to augmented policies:
     (sum G, sum H, max G, max H, mean conductance over frontier regions)."""
-    if frontier_regions.size:
-        mean_psi = float(conductance(frontier_regions, fields, deform).mean())
-    else:
-        mean_psi = 1.0
-    return np.array([
-        float(fields.G.sum()), float(fields.H.sum()),
-        float(fields.G.max()), float(fields.H.max()), mean_psi,
-    ])
+    frontier = np.zeros(fields.G.shape, dtype=bool)
+    frontier[frontier_regions] = True
+    return field_features_batch(
+        HarmFields(G=fields.G[None], H=fields.H[None], params=fields.params),
+        deform, frontier[None])[0]
+
+
+def field_features_batch(fields: HarmFields, deform: DeformationSpec,
+                         frontier: np.ndarray) -> np.ndarray:
+    """`field_features` of B copies, one row per copy: (B, N) fields and a
+    (B, N) mask of each copy's frontier regions. Each row equals the one-copy
+    result bit for bit; a copy without frontier has mean conductance 1."""
+    count = frontier.sum(axis=1)
+    flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
+                      params=fields.params)
+    psi = segment_sums(conductance(np.flatnonzero(frontier), flat, deform),
+                       count)
+    out = np.empty((len(count), FIELD_FEATURE_DIM))
+    out[:, 0] = fields.G.sum(axis=1)
+    out[:, 1] = fields.H.sum(axis=1)
+    out[:, 2] = fields.G.max(axis=1)
+    out[:, 3] = fields.H.max(axis=1)
+    out[:, 4] = 1.0
+    np.divide(psi, count, out=out[:, 4], where=count > 0)
+    return out
 
 
 class Policy:
@@ -108,7 +127,7 @@ class Policy:
                     parts.append(np.zeros(OBS_DIM))
         if self.feature_mode == "augmented":
             parts.append(np.asarray(field_summary, dtype=float))
-        parts.append(np.ones(1))
+        parts.append(_BIAS)
         return np.concatenate(parts)
 
     # -- evaluation --------------------------------------------------------

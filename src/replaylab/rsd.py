@@ -13,22 +13,24 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .deformation import DeformationSpec
 from .errors import ProtocolError
-from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvParams,
-                        env_step, frontier_regions, initial_state, observe,
-                        phase_reset, stimulus_seed_set)
+from .graph_env import (N_STIMULI, Action, BatchStep, DiffusionGraph,
+                        EnvBatch, EnvParams, env_step, env_steps,
+                        frontier_mask, observe_batch, stimulus_rows)
 from .harm_memory import HarmFields, attribute_harm, update_scar
-from .policies import Policy, field_features
+from .policies import Policy, field_features_batch
 from .rng import substream
 
 __all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "agent_step",
-           "run_rsd_episode", "scar_evolution"]
+           "run_rsd_episode", "run_rsd_episodes", "scar_evolution"]
+
+RECORD_SCHEMA = 1
 
 _EXP_STREAM, _DECAY_STREAM, _REP_STREAM = 10, 11, 12
 
@@ -66,16 +68,20 @@ class RsdConfig:
 
 @dataclass
 class PhaseSeries:
+    """Per-step series of one phase. Small per-step rows are tuples: the
+    garbage collector stops tracking those, so the records a suite keeps
+    cost its full collections nothing."""
+
     reach: list = field(default_factory=list)
     sens: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     actions: list = field(default_factory=list)
-    action_dists: list = field(default_factory=list)
+    action_dists: list = field(default_factory=list)  # 3-tuples per step
     odds: list = field(default_factory=list)      # (p, q, p0, q0) per step
     radius: list = field(default_factory=list)    # running containment radius
     g_sum: list = field(default_factory=list)     # total trace mass per step
     h_sum: list = field(default_factory=list)     # total scar mass per step
-    scar_top: list = field(default_factory=list)  # top-10 [region, H] per step
+    scar_top: list = field(default_factory=list)  # top-10 (region, H) per step
     traj_hash: str = ""
 
     def to_dict(self) -> dict:
@@ -91,10 +97,11 @@ class PhaseSeries:
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseSeries":
         series = cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
-                     actions=d["actions"], action_dists=d["action_dists"],
+                     actions=d["actions"],
+                     action_dists=[tuple(a) for a in d["action_dists"]],
                      odds=[tuple(o) for o in d["odds"]], radius=d["radius"],
                      g_sum=d["g_sum"], h_sum=d["h_sum"],
-                     scar_top=d["scar_top"],
+                     scar_top=[[tuple(e) for e in top] for top in d["scar_top"]],
                      traj_hash=d["traj_hash"])
         per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
         if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
@@ -139,6 +146,7 @@ class RsdEpisodeRecord:
 
     def to_dict(self) -> dict:
         return {
+            "schema": RECORD_SCHEMA,
             "config": self.config,
             "graph_seed": self.graph_seed,
             "episode_seed": self.episode_seed,
@@ -150,8 +158,10 @@ class RsdEpisodeRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RsdEpisodeRecord":
-        """Parse `to_dict` output; raise ValueError if it is malformed."""
+        """Parse `to_dict` output; raise ValueError if it is malformed. A
+        record without a schema version is read as version 1."""
         try:
+            schema = d.get("schema", RECORD_SCHEMA)
             rec = cls(
                 config=d["config"], graph_seed=d["graph_seed"],
                 episode_seed=d["episode_seed"],
@@ -162,6 +172,9 @@ class RsdEpisodeRecord:
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"record field missing or mistyped: {exc!r}") from None
+        if type(schema) is not int or schema != RECORD_SCHEMA:
+            raise ValueError(f"record schema {schema!r} is not supported "
+                             f"(this version reads {RECORD_SCHEMA})")
         if set(rec.phases) != {"exposure", "decay", "replay"}:
             raise ValueError("record phases must be exposure, decay and replay")
         return rec
@@ -187,132 +200,190 @@ def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     return rows
 
 
-def agent_step(state, policy: Policy, graph: DiffusionGraph,
-               fields: HarmFields, deform: DeformationSpec,
-               rng: np.random.Generator, t_phase: int, env_params: EnvParams):
-    """One agent-environment step, shared by the RSD phases and training.
+def _copy_fields(fields: HarmFields, b: int) -> HarmFields:
+    return HarmFields(G=fields.G[b], H=fields.H[b], params=fields.params)
 
-    Binds the state to a policy that asks for it (the shield), observes,
-    evaluates the policy once (features, then distribution), draws the
-    action as `rng.choice` would, pushes the observation into the policy's
-    memory, steps the environment and updates the harm fields. Returns the
-    StepResult, the new fields, the action, its distribution and features.
+
+def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
+               fields: HarmFields, deform: DeformationSpec, rngs,
+               t_phase: int, env_params: EnvParams):
+    """One agent-environment step of B copies, shared by the RSD phases
+    and training (which runs one copy).
+
+    `fields` holds the (B, N) fields; copy b has its own policy and
+    generator. Per copy it binds the state to a policy that asks for it
+    (the shield), evaluates the policy once on the copy's row of the
+    batched observation (features, then distribution), draws the action as
+    `rng.choice` would and pushes the observation into the policy's
+    memory. Then all copies step together and the harm fields update.
+    Returns the BatchStep, the new fields, and per copy the action, its
+    distribution (a list) and the features.
     """
-    bind = getattr(policy, "bind_env_state", None)
-    if bind is not None:
-        bind(state, fields, deform)
-    obs = observe(state, graph, t_phase, env_params)
-    fs = None
-    if policy.feature_mode == "augmented":
-        fs = field_features(fields, deform,
-                            frontier_regions(state, graph, env_params.refire))
-    feats = policy.features(obs, fs)
-    dist = policy.action_distribution(feats)
-    # rng.choice(len(dist), p=dist)'s draw in Python floats, as its argument
-    # checks cost more than a scripted policy's whole evaluation
-    cdf = list(accumulate(dist.tolist()))
-    action = bisect_right([c / cdf[-1] for c in cdf], rng.random())
-    policy.remember(obs)
-    res = env_step(state, Action(action), graph, fields, deform, rng,
-                   env_params)
-    fields = update_scar(attribute_harm(fields, res.harm, res.causal))
-    return res, fields, action, dist, feats
+    for b, policy in enumerate(policies):
+        bind = getattr(policy, "bind_env_state", None)
+        if bind is not None:
+            bind(batch.episode(b), _copy_fields(fields, b), deform)
+    obs = observe_batch(batch, graph, t_phase, env_params)
+    fs = [None] * len(policies)
+    if any(p.feature_mode == "augmented" for p in policies):
+        fs = field_features_batch(
+            fields, deform, frontier_mask(batch, graph, env_params.refire))
+    actions, dists, feats = [], [], []
+    for policy, rng, o, f in zip(policies, rngs, obs, fs):
+        feats.append(policy.features(o, f))
+        dists.append(tuple(policy.action_distribution(feats[-1]).tolist()))
+        # rng.choice(len(dist), p=dist)'s draw in Python floats, as its
+        # argument checks cost more than a scripted policy's evaluation
+        cdf = list(accumulate(dists[-1]))
+        actions.append(bisect_right([c / cdf[-1] for c in cdf], rng.random()))
+        policy.remember(o)
+    if len(policies) == 1:
+        res = env_step(batch.episode(0), Action(actions[0]), graph,
+                       _copy_fields(fields, 0), deform, rngs[0], env_params)
+        step = BatchStep(batch=EnvBatch.of(res.state),
+                         reward=np.array([res.reward]),
+                         harm=np.array([res.harm]), causal=res.causal,
+                         odds=np.array([res.odds]))
+    else:
+        step = env_steps(batch, actions, graph, fields, deform, rngs,
+                         env_params)
+    fields = update_scar(attribute_harm(fields, step.harm, step.causal))
+    return step, fields, actions, dists, feats
 
 
-def _run_phase(state, policy: Policy, graph: DiffusionGraph,
-               fields: HarmFields, deform: DeformationSpec,
-               rng: np.random.Generator, steps: int,
-               env_params: EnvParams, hop_dist: np.ndarray):
-    series = PhaseSeries()
-    hasher = hashlib.sha256()
-    radius = 0
+def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
+               fields: HarmFields, deform: DeformationSpec, rngs, steps: int,
+               env_params: EnvParams, hops: np.ndarray):
+    """Run one phase of B copies; returns the batch, the fields and one
+    PhaseSeries per copy, built from the phase's stacked history."""
+    hist = {k: [] for k in ("active", "newly", "reward", "action", "dist",
+                            "odds", "G", "H")}
     for _ in range(steps):
-        res, fields, action, dist, _ = agent_step(
-            state, policy, graph, fields, deform, rng, steps, env_params)
-        state = res.state
-        new_hops = hop_dist[state.newly]
-        new_hops = new_hops[new_hops >= 0]
-        if new_hops.size:
-            radius = max(radius, int(new_hops.max()))
-        act_idx = np.flatnonzero(state.active)
-        series.reach.append(int(act_idx.size))
-        series.sens.append(int(graph.sensitive[act_idx].sum()))
-        series.rewards.append(res.reward)
-        series.actions.append(int(action))
-        series.action_dists.append([float(x) for x in dist])
-        series.odds.append(tuple(float(x) for x in res.odds))
-        series.radius.append(radius)
-        snap = fields.summary()
-        series.g_sum.append(snap["g_sum"])
-        series.h_sum.append(snap["h_sum"])
-        series.scar_top.append(snap["top_scar_regions"])
-        hasher.update(state.active.tobytes())
-        hasher.update(bytes([action]))
-    series.traj_hash = hasher.hexdigest()
-    return state, fields, series
+        step, fields, actions, dists, _ = agent_step(
+            batch, policies, graph, fields, deform, rngs, steps, env_params)
+        batch = step.batch
+        for key, value in (("active", batch.active), ("newly", batch.newly),
+                           ("reward", step.reward), ("action", actions),
+                           ("dist", dists), ("odds", step.odds),
+                           ("G", fields.G), ("H", fields.H)):
+            hist[key].append(value)
+    active = np.stack(hist["active"])               # (T, B, N)
+    actions = np.array(hist["action"], dtype=np.uint8)
+    h = np.stack(hist["H"])
+    new_hops = np.where(np.stack(hist["newly"]) & (hops >= 0), hops, 0)
+    cols = {
+        "reach": active.sum(axis=2),
+        "sens": (active & graph.sensitive).sum(axis=2),
+        "rewards": np.stack(hist["reward"]),
+        "actions": actions,
+        "odds": np.stack(hist["odds"]),
+        "radius": np.maximum.accumulate(new_hops.max(axis=2), axis=0),
+        "g_sum": np.stack(hist["G"]).sum(axis=2),
+        "h_sum": h.sum(axis=2),
+    }
+    top = np.argsort(-h, axis=2, kind="stable")[:, :, :10]
+    top_h = np.take_along_axis(h, top, axis=2)
+    positive = (top_h > 0).sum(axis=2)
+    series = []
+    for b in range(len(policies)):
+        s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
+        s.odds = [tuple(o) for o in s.odds]
+        s.action_dists = [d[b] for d in hist["dist"]]
+        # sorted by descending H, so the positive entries are a prefix
+        s.scar_top = [list(zip(rs[:k], vs[:k])) for rs, vs, k in zip(
+            top[:, b].tolist(), top_h[:, b].tolist(), positive[:, b].tolist())]
+        # the hash of each step's active set bytes, then its action byte
+        rows = np.concatenate([active[:, b].view(np.uint8),
+                               actions[:, b, None]], axis=1)
+        s.traj_hash = hashlib.sha256(rows.tobytes()).hexdigest()
+        series.append(s)
+    return batch, fields, series
+
+
+def run_rsd_episodes(configs, policies, graph: DiffusionGraph,
+                     fields: HarmFields, deform: DeformationSpec,
+                     episode_seeds, env_params: EnvParams | None = None) -> list:
+    """Run B Exposure -> Decay -> Replay episodes with frozen policies as B
+    copies stepped together; episode b has configs[b], policies[b] and
+    episode_seeds[b], and every episode starts from `fields`.
+
+    The configs may differ only in the stimulus z. Each episode draws from
+    its own generators in the order a lone episode does, so record b equals
+    `run_rsd_episode(configs[b], policies[b], ...)` bit for bit.
+    """
+    if not len(configs) == len(policies) == len(episode_seeds) >= 1:
+        raise ValueError("need one config, policy and seed per episode")
+    if len({replace(c, z=1) for c in configs}) != 1:
+        raise ValueError("batched episodes may differ only in the stimulus z")
+    if not all(p.frozen for p in policies):
+        raise ProtocolError("RSD requires a frozen policy")
+    config = configs[0]
+    env_params = env_params or EnvParams()
+    hashes = [p.weight_hash() for p in policies]
+    copies = len(configs)
+    snapshots = [{"start": fields.summary()} for _ in configs]
+    fields = HarmFields(G=np.tile(fields.G, (copies, 1)),
+                        H=np.tile(fields.H, (copies, 1)), params=fields.params)
+    stimuli = [c.z for c in configs]
+    hops, _ = stimulus_rows(graph, stimuli, env_params)
+    phases = [{} for _ in configs]
+
+    def phase(name, batch, fields, deform, stream, steps):
+        rngs = [substream(seed, stream) for seed in episode_seeds]
+        batch, fields, series = _run_phase(batch, policies, graph, fields,
+                                           deform, rngs, steps, env_params,
+                                           hops)
+        for b, s in enumerate(series):
+            phases[b][name] = s
+            snapshots[b][f"after_{name}"] = _copy_fields(fields, b).summary()
+        return batch, fields
+
+    # Exposure: reset observable state and agent memory, stimulus on
+    for p in policies:
+        p.reset_memory()
+    batch = EnvBatch.initial(graph, stimuli, fields.params.delay)
+    batch, fields = phase("exposure", batch, fields, deform, _EXP_STREAM,
+                          config.t_exp)
+
+    # Decay: stimulus off, nothing reset
+    batch = replace(batch, stimulus_on=False)
+    batch, fields = phase("decay", batch, fields, deform, _DECAY_STREAM,
+                          config.t_decay)
+
+    # Replay: observable + agent memory reset, same stimulus, fields persist
+    for p in policies:
+        p.reset_memory()
+    batch = batch.reset(stimulus_on=True,
+                        truncate_buffer=config.truncate_buffer)
+    if config.field_reset == "reset":
+        fields = HarmFields.zeros(fields.G.shape, fields.params)
+    rep_deform = deform.with_mode("off") if config.replay_deformation == "off" \
+        else deform
+    stream = _EXP_STREAM if config.rng_mode == "paired" else _REP_STREAM
+    phase("replay", batch, fields, rep_deform, stream, config.t_rep)
+
+    if [p.weight_hash() for p in policies] != hashes:
+        raise ProtocolError("policy weights changed during RSD evaluation")
+
+    env = {
+        "k_seed": env_params.k_seed, "seed_pool": env_params.seed_pool,
+        "refire": env_params.refire, "reward": env_params.reward,
+        "action_costs": list(env_params.action_costs),
+    }
+    return [RsdEpisodeRecord(
+        config={**asdict(c), "config_hash": c.hash(), "env_params": dict(env)},
+        graph_seed=graph.seed, episode_seed=seed, phases=ph,
+        field_snapshots=snaps, policy_hash=h,
+        counterfactual=(c.replay_deformation == "off"))
+        for c, seed, ph, snaps, h in zip(configs, episode_seeds, phases,
+                                         snapshots, hashes)]
 
 
 def run_rsd_episode(config: RsdConfig, policy: Policy, graph: DiffusionGraph,
                     fields: HarmFields, deform: DeformationSpec,
                     episode_seed: int,
                     env_params: EnvParams | None = None) -> RsdEpisodeRecord:
-    """Run one Exposure -> Decay -> Replay episode with a frozen policy."""
-    if not policy.frozen:
-        raise ProtocolError("RSD requires a frozen policy")
-    env_params = env_params or EnvParams()
-    hash_before = policy.weight_hash()
-    fields = fields.copy()
-    seeds = stimulus_seed_set(config.z, graph, env_params.k_seed,
-                              env_params.seed_pool)
-    hop_dist = graph.hop_distance_from(seeds)
-    snapshots = {"start": fields.summary()}
-    phases: dict[str, PhaseSeries] = {}
-
-    # Exposure: reset observable state and agent memory, stimulus on
-    policy.reset_memory()
-    state = initial_state(graph, config.z, fields.params.delay, stimulus_on=True)
-    rng = substream(episode_seed, _EXP_STREAM)
-    state, fields, phases["exposure"] = _run_phase(
-        state, policy, graph, fields, deform, rng, config.t_exp,
-        env_params, hop_dist)
-    snapshots["after_exposure"] = fields.summary()
-
-    # Decay: stimulus off, nothing reset
-    state.stimulus_on = False
-    rng = substream(episode_seed, _DECAY_STREAM)
-    state, fields, phases["decay"] = _run_phase(
-        state, policy, graph, fields, deform, rng, config.t_decay,
-        env_params, hop_dist)
-    snapshots["after_decay"] = fields.summary()
-
-    # Replay: observable + agent memory reset, same stimulus, fields persist
-    policy.reset_memory()
-    state = phase_reset(state, graph, stimulus_on=True,
-                        truncate_buffer=config.truncate_buffer)
-    if config.field_reset == "reset":
-        fields = HarmFields.zeros(fields.G.size, fields.params)
-    rep_deform = deform.with_mode("off") if config.replay_deformation == "off" \
-        else deform
-    stream = _EXP_STREAM if config.rng_mode == "paired" else _REP_STREAM
-    rng = substream(episode_seed, stream)
-    state, fields, phases["replay"] = _run_phase(
-        state, policy, graph, fields, rep_deform, rng, config.t_rep,
-        env_params, hop_dist)
-    snapshots["after_replay"] = fields.summary()
-
-    if policy.weight_hash() != hash_before:
-        raise ProtocolError("policy weights changed during RSD evaluation")
-
-    cfg = asdict(config)
-    cfg["config_hash"] = config.hash()
-    cfg["env_params"] = {
-        "k_seed": env_params.k_seed, "seed_pool": env_params.seed_pool,
-        "refire": env_params.refire, "reward": env_params.reward,
-        "action_costs": list(env_params.action_costs),
-    }
-    return RsdEpisodeRecord(
-        config=cfg, graph_seed=graph.seed, episode_seed=episode_seed,
-        phases=phases, field_snapshots=snapshots,
-        policy_hash=hash_before,
-        counterfactual=(config.replay_deformation == "off"),
-    )
+    """Run one Exposure -> Decay -> Replay episode with a frozen policy:
+    `run_rsd_episodes` with one copy."""
+    return run_rsd_episodes([config], [policy], graph, fields, deform,
+                            [episode_seed], env_params)[0]

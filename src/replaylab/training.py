@@ -16,7 +16,8 @@ from .errors import ProtocolError
 from .policies import Policy
 
 __all__ = ["TrainerState", "Batch", "train_epoch", "dual_update",
-           "gae_advantages", "surrogate_loss_and_grad", "ss_penalty_update"]
+           "gae_advantages", "surrogate_loss_and_grad", "ss_penalty_update",
+           "check_finite"]
 
 
 @dataclass
@@ -122,6 +123,15 @@ def train_epoch(trainer: TrainerState, batch: Batch) -> TrainerState:
     vgrad = batch.features.T @ err / len(batch)
     trainer.value_w = trainer.value_w - trainer.vf_lr * vgrad
     return trainer
+
+
+def check_finite(trainer: TrainerState, where: str) -> None:
+    """Raise ProtocolError, naming `where`, unless the policy and value
+    weights are all finite (a diverged policy has no distribution to draw
+    from)."""
+    if not (np.isfinite(trainer.policy.weights).all()
+            and np.isfinite(trainer.value_w).all()):
+        raise ProtocolError(f"{where}: policy or value weights are not finite")
 
 
 def dual_update(trainer: TrainerState, batch: Batch) -> TrainerState:

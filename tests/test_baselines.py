@@ -242,6 +242,34 @@ def test_train_policy_weights_pinned(method):
     np.testing.assert_allclose(policy.weights, pinned, rtol=1e-12, atol=0)
 
 
+def test_train_policy_stops_when_weights_diverge(monkeypatch, tmp_path,
+                                                 capsys):
+    # with a value step of 1e300 the value weights overflow in the first
+    # batch; training ends with a ProtocolError naming the method, graph
+    # seed and step (the CLI exits 3) instead of drawing from a NaN
+    # distribution
+    import functools
+
+    from replaylab import baselines
+    from replaylab.cli import main
+    from replaylab.errors import ProtocolError
+    from replaylab.training import TrainerState
+    monkeypatch.setattr(baselines, "TrainerState",
+                        functools.partial(TrainerState, vf_lr=1e300))
+    over = {"training": {"enabled": True, "steps": 40, "episode_len": 20}}
+    cfg = load_config(desk_preset(**over))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ProtocolError,
+                           match="rapo on graph seed 1 diverged by step 40"):
+            baselines.train_policy(method_config("rapo"), cfg.graph(1), cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(desk_preset(**over)))
+        rc = main(["train", "--config", str(path), "--method", "rapo",
+                   "--out", str(tmp_path / "ckpt.json")])
+    assert rc == 3
+    assert "diverged by step 40" in capsys.readouterr().err
+
+
 def _tiny_cfg(tmp_path, **over):
     base = {
         "graph": {"nodes": 50, "branching": 3.0, "seeds": [1]},

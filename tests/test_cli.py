@@ -95,6 +95,19 @@ def test_rerun_and_worker_count_byte_identical(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_uneven_worker_chunks_byte_identical(tmp_path):
+    # 5 episodes run as one batch, as chunks of 3 and 2, and as chunks of
+    # 2, 2 and 1; every split gives the same report
+    outs = []
+    for workers in (1, 2, 3):
+        cfg = _write_cfg(tmp_path, name=f"w{workers}.json", episodes=5,
+                         workers=workers)
+        d = tmp_path / f"w{workers}"
+        assert main(["run", "--config", cfg, "--out-dir", str(d)]) == 0
+        outs.append((d / "report.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_report_recompute_matches_run_output(tmp_path):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"
@@ -258,9 +271,10 @@ def _mangle_replay(line, key, fn):
     lambda line: _mangle_replay(line, "action_dists",
                                 lambda d: [str(x) for x in d]),
     lambda line: _mangle_replay(line, "action_dists", lambda d: d[:2]),
+    lambda line: json.dumps({**json.loads(line), "schema": 2}),
 ], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
         "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples",
-        "string-action-dists", "action-dists-2-entries"])
+        "string-action-dists", "action-dists-2-entries", "schema-2"])
 def test_malformed_record_exits_two(tmp_path, capsys, mangle):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"

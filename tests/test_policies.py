@@ -6,9 +6,10 @@ import pytest
 from replaylab.errors import ProtocolError
 from replaylab.policies import N_ACTIONS, OBS_DIM, Policy, softmax
 from replaylab.rng import substream
-from replaylab.training import (Batch, TrainerState, dual_update,
-                                gae_advantages, ss_penalty_update,
-                                surrogate_loss_and_grad, train_epoch)
+from replaylab.training import (Batch, TrainerState, check_finite,
+                                dual_update, gae_advantages,
+                                ss_penalty_update, surrogate_loss_and_grad,
+                                train_epoch)
 
 OBS = np.array([0.2, 1.0, 0.5, 0.1])
 
@@ -197,3 +198,21 @@ def test_policy_constructor_validation():
         Policy(kind="scripted")
     with pytest.raises(ValueError):
         Policy(kind="softmax", feature_mode="augmented").features(OBS)
+
+
+def test_check_finite_catches_a_diverged_value_step():
+    # a value step of 1e300 overflows the value weights within two epochs
+    # of one small batch
+    pol = Policy(kind="softmax", seed=4)
+    trainer = TrainerState(policy=pol, vf_lr=1e300)
+    t = 8
+    batch = Batch(features=np.full((t, pol.feature_dim), 3.0),
+                  actions=np.zeros(t, dtype=int), rewards=np.ones(t),
+                  g_sums=np.zeros(t), h_increments=np.zeros(t),
+                  old_logp=np.zeros(t), starts=np.zeros(t, dtype=bool))
+    check_finite(trainer, "before")
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            train_epoch(trainer, batch)
+    with pytest.raises(ProtocolError, match="diverged here"):
+        check_finite(trainer, "diverged here")

@@ -1,5 +1,7 @@
 """Three-phase episode protocol: resets, pairing, persistence."""
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,11 +11,11 @@ from replaylab.baselines import ShieldedPolicy
 from replaylab.config import ShieldParams
 from replaylab.deformation import DeformationSpec
 from replaylab.errors import ProtocolError
-from replaylab.graph_env import EnvParams, generate_graph
+from replaylab.graph_env import EnvParams, frontier_mask, generate_graph
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.policies import Policy
 from replaylab.rsd import (RsdConfig, RsdEpisodeRecord, run_rsd_episode,
-                           scar_evolution)
+                           run_rsd_episodes, scar_evolution)
 
 GRAPH = generate_graph(50, 1.5, seed=1)
 ARC_GRAPH = generate_graph(50, 3.0, seed=1, locality=1.0, sens_style="arc",
@@ -202,3 +204,134 @@ def test_augmented_episode_traj_hashes_pinned(wrap):
                deform=PINNED_DEFORM[wrap], env=PINNED_ENV, delay=10)
     assert [rec.phases[p].traj_hash for p in ("exposure", "decay", "replay")] \
         == PINNED_HASHES[wrap]
+
+
+# sha256 of one whole record (json.dumps(rec.to_dict(), sort_keys=True),
+# without the record's schema version) on GRAPH: rewards, odds, action
+# distributions, field sums and scar_top are pinned to the bit, not only the
+# active sets and actions. A change meant to preserve behaviour must leave
+# them unchanged.
+PINNED_RECORDS = {
+    "paired": "e51daba1cd59355d5053e03b565e28cd4221afa82176fe7e61f5d9c62cf5ffd4",
+    "shielded": "43460adeb8ba715ea7b7d13058543e8ad26cae024fc81f76bd5b50671df90e3c",
+    "window": "943a56d14f7ff31fd50e1d360ca771dcfcacfae41f8d86fb9ecda682011d2e02",
+}
+
+
+def _pinned_record_episode(case):
+    w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
+    augmented = _policy(feature_mode="augmented", weights=w)
+    if case == "paired":
+        return _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60,
+                              rng_mode="paired"),
+                    policy=augmented, deform=FULL, env=PINNED_ENV, delay=10)
+    if case == "shielded":
+        policy = ShieldedPolicy(augmented, GRAPH,
+                                ShieldParams(theta=30.0, n_mc=2, horizon=5),
+                                PINNED_ENV, FieldParams(delay=10), 7)
+        return _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60), policy=policy,
+                    deform=FULL, env=PINNED_ENV, delay=10)
+    window = _policy(kind="window", window=3,
+                     weights=0.1 * np.random.default_rng(6).standard_normal((3, 13)))
+    return _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60,
+                          replay_deformation="off", field_reset="reset",
+                          truncate_buffer=True),
+                policy=window, deform=FULL, env=PINNED_ENV, delay=10)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RECORDS))
+def test_episode_record_pinned(case):
+    d = _pinned_record_episode(case).to_dict()
+    d.pop("schema", None)
+    text = json.dumps(d, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RECORDS[case]
+
+
+def _batch_policies(kind, seeds):
+    """Fresh frozen policies, one per episode seed."""
+    w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
+    if kind == "scripted":
+        return [_policy(kind="scripted", scripted_action=a)
+                for a in (0, 1, 2, 0)[:len(seeds)]]
+    if kind == "window":
+        ww = 0.1 * np.random.default_rng(6).standard_normal((3, 13))
+        return [_policy(kind="window", window=3, weights=ww) for _ in seeds]
+    policies = [_policy(feature_mode="augmented", weights=w) for _ in seeds]
+    if kind == "shielded":
+        policies = [ShieldedPolicy(p, ARC_GRAPH,
+                                   ShieldParams(theta=30.0, n_mc=2, horizon=5),
+                                   ARC_ENV, FieldParams(delay=10), seed)
+                    for p, seed in zip(policies, seeds)]
+    return policies
+
+
+@pytest.mark.parametrize("kind,switch", [
+    ("scripted", {}), ("augmented", {}), ("window", {}), ("shielded", {}),
+    ("augmented", {"rng_mode": "paired"}),
+    ("augmented", {"replay_deformation": "off"}),
+    ("augmented", {"field_reset": "reset"}),
+    ("window", {"truncate_buffer": True}),
+], ids=["scripted", "augmented", "window", "shielded", "paired",
+        "replay-off", "field-reset", "truncate-buffer"])
+def test_batched_episodes_equal_one_at_a_time(kind, switch):
+    # four episodes with mixed stimuli stepped as one batch give the
+    # records that four lone episodes give
+    seeds = [7, 8, 9, 10]
+    configs = [RsdConfig(t_exp=40, t_decay=10, t_rep=40, z=z, **switch)
+               for z in (1, 5, 5, 12)]
+    fields = _fields(ARC_GRAPH, delay=10, alpha=2.0, eta=0.3)
+    batched = run_rsd_episodes(configs, _batch_policies(kind, seeds),
+                               ARC_GRAPH, fields, FULL, seeds, ARC_ENV)
+    alone = [run_rsd_episode(c, p, ARC_GRAPH, fields, FULL, s, ARC_ENV)
+             for c, p, s in zip(configs, _batch_policies(kind, seeds), seeds)]
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
+    assert len({r.phases["replay"].traj_hash for r in batched}) > 1
+
+
+def test_batched_episodes_differ_only_in_stimulus():
+    configs = [RsdConfig(t_exp=5, t_decay=5, t_rep=5),
+               RsdConfig(t_exp=5, t_decay=5, t_rep=6)]
+    with pytest.raises(ValueError, match="stimulus"):
+        run_rsd_episodes(configs, [_policy(), _policy()], GRAPH,
+                         _fields(GRAPH), OFF, [1, 2])
+
+
+def test_observe_and_field_features_batched_rows_equal_one_copy():
+    # along a four-copy walk with mixed stimuli and actions, every row of
+    # the batched observation and field features equals its one-copy value
+    from replaylab.graph_env import (EnvBatch, env_steps, frontier_regions,
+                                     observe, observe_batch)
+    from replaylab.policies import field_features, field_features_batch
+    rng = np.random.default_rng(11)
+    stimuli = (1, 5, 5, 12)
+    batch = EnvBatch.initial(ARC_GRAPH, stimuli, 10)
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    for t in range(30):
+        fields = HarmFields(G=rng.uniform(0, 2, (4, 50)),
+                            H=rng.uniform(0, 1, (4, 50)),
+                            params=FieldParams(delay=10))
+        obs = observe_batch(batch, ARC_GRAPH, 30, ARC_ENV)
+        feats = field_features_batch(fields, FULL, frontier_mask(
+            batch, ARC_GRAPH, ARC_ENV.refire))
+        for b in range(4):
+            state = batch.episode(b)
+            one = HarmFields(G=fields.G[b], H=fields.H[b], params=fields.params)
+            assert np.array_equal(obs[b], observe(state, ARC_GRAPH, 30, ARC_ENV))
+            assert np.array_equal(feats[b], field_features(
+                one, FULL, frontier_regions(state, ARC_GRAPH, ARC_ENV.refire)))
+        batch = env_steps(batch, rng.integers(3, size=4).tolist(), ARC_GRAPH,
+                          fields, FULL, rngs, ARC_ENV).batch
+    assert batch.active.sum(axis=1).min() > 0
+
+
+def test_record_schema_version():
+    # records carry schema 1; one written without it reads as 1, and any
+    # other value is rejected
+    d = _run(RsdConfig(t_exp=5, t_decay=5, t_rep=5)).to_dict()
+    assert d["schema"] == 1
+    legacy = json.loads(json.dumps({k: v for k, v in d.items()
+                                    if k != "schema"}))
+    assert RsdEpisodeRecord.from_dict(legacy).to_dict() == d
+    for bad in (2, "1", True, None):
+        with pytest.raises(ValueError, match="schema"):
+            RsdEpisodeRecord.from_dict({**d, "schema": bad})
