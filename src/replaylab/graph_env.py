@@ -411,11 +411,13 @@ def initial_state(graph: DiffusionGraph, z: int, delay: int,
 
 
 def _copies(graph: DiffusionGraph, b: int):
-    """Flat (src, dst) edge arrays of b copies of the graph."""
+    """Flat (src, dst, p) edge arrays of b copies of the graph: edge e of
+    copy c is entry c*E + e, from node c*N + edge_src[e]."""
     if b not in graph._cache:
         offset = np.arange(b)[:, None] * graph.node_count
         graph._cache[b] = ((graph.edge_src + offset).ravel(),
-                                (graph.edge_dst + offset).ravel())
+                           (graph.edge_dst + offset).ravel(),
+                           np.tile(graph.edge_p, b))
     return graph._cache[b]
 
 
@@ -461,12 +463,13 @@ def observe_batch(batch: EnvBatch, graph: DiffusionGraph, t_phase: int,
     dist, _ = stimulus_rows(graph, batch.stimuli, params)
     seen = batch.active & (dist >= 0)
     count = seen.sum(axis=1)
-    centroid = np.where(seen, dist, 0).sum(axis=1) / np.maximum(count, 1)
+    per = np.maximum(count, 1)
+    centroid = np.where(seen, dist, 0).sum(axis=1) / per
     dev = dist[seen] - np.repeat(centroid, count)
     obs = np.empty((len(count), 4))
     obs[:, 0] = batch.active.sum(axis=1) / graph.node_count
     obs[:, 1] = centroid
-    obs[:, 2] = np.sqrt(segment_sums(dev * dev, count) / np.maximum(count, 1))
+    obs[:, 2] = np.sqrt(segment_sums(dev * dev, count) / per)
     obs[:, 3] = batch.phase_time / max(t_phase, 1)
     return obs
 
@@ -509,10 +512,10 @@ class BatchStep:
     """The StepResult of B copies."""
 
     batch: EnvBatch
-    reward: np.ndarray              # float [B]
-    harm: np.ndarray                # float [B]
+    reward: np.ndarray              # float [B], or a list
+    harm: np.ndarray                # float [B], or a list
     causal: np.ndarray              # flat indices b*N + r of A_{t-D} ∩ V_sens
-    odds: np.ndarray                # float [B, 4], (p, q, p0, q0) per copy
+    odds: np.ndarray                # (p, q, p0, q0) per copy: [B, 4], or a list
 
 
 def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,
@@ -525,7 +528,7 @@ def frontier_mask(batch: EnvBatch, graph: DiffusionGraph,
     """(B, N) mask of the inactive regions a frontier edge points into; the
     frontier's sources are the active nodes under refire, else the nodes
     that activated on the previous step."""
-    src, dst = _copies(graph, len(batch.active))
+    src, dst, _ = _copies(graph, len(batch.active))
     active = batch.active.ravel()
     mask = np.zeros_like(active)
     mask[dst[_frontier_edges(src, dst, active,
@@ -639,9 +642,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
     fp = fields.params
     b_count, n = batch.active.shape
     e = graph.edge_src.size
-    actions = np.asarray(actions, dtype=np.int64)
-    # copy b's region r is entry b*N + r of the flat fields
-    flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(), params=fp)
+    src, dst, p_nominal = _copies(graph, b_count)
 
     # delayed harm from the causal active sets A_{t-D}
     causal, harm = np.empty(0, dtype=np.int64), np.zeros(b_count)
@@ -655,30 +656,34 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
     injected = [np.empty(0, dtype=np.int64)]
     if batch.stimulus_on:
         _, seeds = stimulus_rows(graph, batch.stimuli, params)
-        injected.append(seeds[actions != Action.CONSERVATIVE].ravel())
-        for b in np.flatnonzero(actions != Action.MODERATE).tolist():
-            psi = conductance(None, HarmFields(G=fields.G[b], H=fields.H[b],
-                                               params=fp), deform)
-            law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
-                                Action(actions[b]))
-            injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
+        for b, action in enumerate(actions):
+            if action != Action.CONSERVATIVE:
+                injected.append(seeds[b])
+            if action != Action.MODERATE:
+                psi = conductance(None, HarmFields(G=fields.G[b], H=fields.H[b],
+                                                   params=fp), deform)
+                law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
+                                    Action(action))
+                injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
 
     # cascade diffusion over frontier edges, gated by destination conductance
-    src, dst = _copies(graph, b_count)
     gmask = edge_gate_mask(graph, deform)
 
     def p_at(idx):
-        p = graph.edge_p[idx % e]
-        gated = gmask[idx % e]
-        if gated.any():
-            p = np.where(gated, gate_edge_prob(p, conductance(dst[idx], flat,
-                                                              deform)), p)
+        p = p_nominal[idx]
+        if idx.size and gmask.any():
+            # copy b's region r is entry b*N + r of the flat fields
+            flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(), params=fp)
+            p = np.where(gmask[idx % e], gate_edge_prob(
+                p, conductance(dst[idx], flat, deform)), p)
         return p
 
     def draw(idx):
+        if b_count == 1:
+            return rngs[0].random(idx.size)
         counts = np.bincount(idx // e, minlength=b_count).tolist()
-        return np.concatenate([np.empty(0)] + [r.random(c) for r, c in
-                                               zip(rngs, counts) if c])
+        parts = [r.random(c) for r, c in zip(rngs, counts) if c]
+        return np.concatenate(parts) if parts else np.empty(0)
 
     active, newly, idx, p_eff = _advance(
         batch.active.ravel(), batch.newly.ravel(), np.concatenate(injected),
@@ -694,7 +699,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         copy = sens // e
         start = np.flatnonzero(np.diff(copy, prepend=-1))
         q_g = np.multiply.reduceat(1.0 - p_eff[to_sens], start)
-        q_0 = np.multiply.reduceat(1.0 - graph.edge_p[sens % e], start)
+        q_0 = np.multiply.reduceat(1.0 - p_nominal[sens], start)
         odds[copy[start]] = np.column_stack([1.0 - q_g, q_g, 1.0 - q_0, q_0])
 
     prev_count = batch.active.sum(axis=1)
@@ -704,7 +709,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         reward = (np.log1p(new_count) - np.log1p(prev_count)) / np.log1p(n)
     else:
         reward = (new_count - prev_count) / n
-    reward -= np.asarray(params.action_costs)[actions]
+    reward -= [params.action_costs[a] for a in actions]
 
     buf = deque(batch.delay_buffer, maxlen=batch.delay_buffer.maxlen)
     buf.append(np.flatnonzero(active))
@@ -734,8 +739,7 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
     actions = np.asarray(actions, dtype=np.int64)
     b, n = actions.size, graph.node_count
     offset = np.arange(b) * n
-    src, dst = _copies(graph, b)
-    p = np.tile(graph.edge_p, b)
+    src, dst, p = _copies(graph, b)
     active, newly = np.tile(state.active, b), np.tile(state.newly, b)
     fixed = cons = agg = np.empty(0, dtype=np.int64)  # node offsets
     rows = 0

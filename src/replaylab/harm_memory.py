@@ -69,19 +69,20 @@ def attribute_harm(fields: HarmFields, harm, causal_regions) -> HarmFields:
     (G of shape (B, N)) `harm` holds one value per copy and
     `causal_regions` flat indices b*N + r. Returns a new HarmFields.
     """
-    harm = np.asarray(harm, dtype=float).ravel()
-    if not ((harm >= 0.0) & (harm <= 1.0)).all():
+    harm = np.asarray(harm, dtype=float).ravel().tolist()
+    if not all(0.0 <= h <= 1.0 for h in harm):
         raise ValueError("harm must lie in [0, 1]")
     p = fields.params
     causal = np.asarray(causal_regions, dtype=int)
     g = (1.0 - p.lam) * fields.G
-    if causal.size or harm.any():
-        n = fields.G.shape[-1]
-        per_copy = np.bincount(causal // n, minlength=harm.size)
-        if ((harm > 0) & (per_copy == 0)).any():
+    if causal.size or any(harm):
+        copy = causal // fields.G.shape[-1]
+        per_copy = np.bincount(copy, minlength=len(harm)).tolist()
+        if any(h > 0 and not c for h, c in zip(harm, per_copy)):
             # the delayed-harm formula makes this combination impossible
             raise ValueError("positive harm requires a nonempty causal set")
-        g.ravel()[causal] += (p.alpha * harm / np.maximum(per_copy, 1))[causal // n]
+        weight = [p.alpha * h / max(c, 1) for h, c in zip(harm, per_copy)]
+        g.ravel()[causal] += np.array(weight)[copy]
     return HarmFields(G=g, H=fields.H.copy(), params=p)
 
 

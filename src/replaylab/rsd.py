@@ -68,15 +68,16 @@ class RsdConfig:
 
 @dataclass
 class PhaseSeries:
-    """Per-step series of one phase. Small per-step rows are tuples: the
-    garbage collector stops tracking those, so the records a suite keeps
-    cost its full collections nothing."""
+    """Per-step series of one phase. A run builds the small per-step rows
+    of `action_dists` and `scar_top` as tuples, which the garbage
+    collector stops tracking, so the records a suite keeps cost its full
+    collections nothing; records read back hold JSON's lists."""
 
     reach: list = field(default_factory=list)
     sens: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     actions: list = field(default_factory=list)
-    action_dists: list = field(default_factory=list)  # 3-tuples per step
+    action_dists: list = field(default_factory=list)  # 3 probabilities per step
     odds: list = field(default_factory=list)      # (p, q, p0, q0) per step
     radius: list = field(default_factory=list)    # running containment radius
     g_sum: list = field(default_factory=list)     # total trace mass per step
@@ -97,11 +98,10 @@ class PhaseSeries:
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseSeries":
         series = cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
-                     actions=d["actions"],
-                     action_dists=[tuple(a) for a in d["action_dists"]],
+                     actions=d["actions"], action_dists=d["action_dists"],
                      odds=[tuple(o) for o in d["odds"]], radius=d["radius"],
                      g_sum=d["g_sum"], h_sum=d["h_sum"],
-                     scar_top=[[tuple(e) for e in top] for top in d["scar_top"]],
+                     scar_top=d["scar_top"],
                      traj_hash=d["traj_hash"])
         per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
         if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
@@ -240,10 +240,8 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     if len(policies) == 1:
         res = env_step(batch.episode(0), Action(actions[0]), graph,
                        _copy_fields(fields, 0), deform, rngs[0], env_params)
-        step = BatchStep(batch=EnvBatch.of(res.state),
-                         reward=np.array([res.reward]),
-                         harm=np.array([res.harm]), causal=res.causal,
-                         odds=np.array([res.odds]))
+        step = BatchStep(batch=EnvBatch.of(res.state), reward=[res.reward],
+                         harm=[res.harm], causal=res.causal, odds=[res.odds])
     else:
         step = env_steps(batch, actions, graph, fields, deform, rngs,
                          env_params)
@@ -256,29 +254,26 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
                env_params: EnvParams, hops: np.ndarray):
     """Run one phase of B copies; returns the batch, the fields and one
     PhaseSeries per copy, built from the phase's stacked history."""
-    hist = {k: [] for k in ("active", "newly", "reward", "action", "dist",
-                            "odds", "G", "H")}
+    hist = []
     for _ in range(steps):
         step, fields, actions, dists, _ = agent_step(
             batch, policies, graph, fields, deform, rngs, steps, env_params)
         batch = step.batch
-        for key, value in (("active", batch.active), ("newly", batch.newly),
-                           ("reward", step.reward), ("action", actions),
-                           ("dist", dists), ("odds", step.odds),
-                           ("G", fields.G), ("H", fields.H)):
-            hist[key].append(value)
-    active = np.stack(hist["active"])               # (T, B, N)
-    actions = np.array(hist["action"], dtype=np.uint8)
-    h = np.stack(hist["H"])
-    new_hops = np.where(np.stack(hist["newly"]) & (hops >= 0), hops, 0)
+        hist.append((batch.active, batch.newly, step.reward, actions, dists,
+                     step.odds, fields.G, fields.H))
+    active, newly, rewards, actions, dists, odds, g, h = zip(*hist)
+    active = np.stack(active)                       # (T, B, N)
+    actions = np.array(actions, dtype=np.uint8)
+    h = np.stack(h)
+    new_hops = np.where(np.stack(newly) & (hops >= 0), hops, 0)
     cols = {
         "reach": active.sum(axis=2),
         "sens": (active & graph.sensitive).sum(axis=2),
-        "rewards": np.stack(hist["reward"]),
+        "rewards": np.stack(rewards),
         "actions": actions,
-        "odds": np.stack(hist["odds"]),
+        "odds": np.stack(odds),
         "radius": np.maximum.accumulate(new_hops.max(axis=2), axis=0),
-        "g_sum": np.stack(hist["G"]).sum(axis=2),
+        "g_sum": np.stack(g).sum(axis=2),
         "h_sum": h.sum(axis=2),
     }
     top = np.argsort(-h, axis=2, kind="stable")[:, :, :10]
@@ -288,7 +283,7 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
     for b in range(len(policies)):
         s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
         s.odds = [tuple(o) for o in s.odds]
-        s.action_dists = [d[b] for d in hist["dist"]]
+        s.action_dists = [d[b] for d in dists]
         # sorted by descending H, so the positive entries are a prefix
         s.scar_top = [list(zip(rs[:k], vs[:k])) for rs, vs, k in zip(
             top[:, b].tolist(), top_h[:, b].tolist(), positive[:, b].tolist())]
