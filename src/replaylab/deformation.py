@@ -58,36 +58,30 @@ class DeformationSpec:
 def conductance(regions, fields, spec: DeformationSpec) -> np.ndarray:
     """Conductance psi = clip(exp(-w_G*G_r - w_H*H_r), psi_min, 1).
 
-    `regions` may be a scalar index, an array of region indices, or None
-    for every entry of the fields (of every copy, for (B, N) fields); the
+    `regions` may be a scalar index or an array of region indices; the
     result has matching shape. Mode "off" returns ones.
     """
-    regions = np.s_[...] if regions is None else np.asarray(regions)
+    regions = np.asarray(regions)
     if spec.mode == "off":
-        return np.ones(np.shape(fields.G[regions]), dtype=float)
+        return np.ones(regions.shape, dtype=float)
     expo = -spec.w_G * fields.G[regions] - spec.w_H * fields.H[regions]
     return np.clip(np.exp(expo), spec.psi_min, 1.0)
 
 
 def reweight_categorical(nominal: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Exact mass-preserving reweighting P(y) = nominal(y)*psi(y) / Z, of
-    one categorical or of each row along the last axis."""
+    """Exact mass-preserving reweighting P(y) = nominal(y)*psi(y) / Z."""
     nominal = np.asarray(nominal, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if nominal.shape != psi.shape:
         raise ValueError("nominal and psi must have matching shapes")
-    _check_nominal(nominal)
-    if np.any(psi <= 0) or np.any(psi > 1):
-        raise ValueError("psi entries must lie in (0, 1]")
-    w = nominal * psi
-    return w / w.sum(axis=-1, keepdims=True)
-
-
-def _check_nominal(nominal: np.ndarray) -> None:
-    if np.any(np.abs(nominal.sum(axis=-1) - 1.0) > 1e-12):
+    if abs(nominal.sum() - 1.0) > 1e-12:
         raise ValueError("nominal distribution must sum to 1")
     if np.any(nominal < 0):
         raise ValueError("nominal distribution must be nonnegative")
+    if np.any(psi <= 0) or np.any(psi > 1):
+        raise ValueError("psi entries must lie in (0, 1]")
+    w = nominal * psi
+    return w / w.sum()
 
 
 def gate_edge_prob(p_uv, psi_v):
@@ -97,8 +91,7 @@ def gate_edge_prob(p_uv, psi_v):
 
 def apply_mode(nominal: np.ndarray, psi: np.ndarray, spec: DeformationSpec,
                regions=None) -> np.ndarray:
-    """Reweight a categorical, or each row along the last axis, under the
-    spec's deployment mode.
+    """Reweight a categorical under the spec's deployment mode.
 
     Full reweights everything; topk gates only the k most probable nominal
     destinations; local gates only destinations whose region lies in
@@ -106,19 +99,22 @@ def apply_mode(nominal: np.ndarray, psi: np.ndarray, spec: DeformationSpec,
     """
     nominal = np.asarray(nominal, dtype=float)
     if spec.mode == "off":
-        _check_nominal(nominal)
+        if abs(nominal.sum() - 1.0) > 1e-12:
+            raise ValueError("nominal distribution must sum to 1")
         return nominal.copy()
     psi = np.asarray(psi, dtype=float)
     if spec.mode == "topk":
-        # stable sort on -prob, so ties break by ascending index
-        keep = np.argsort(-nominal, axis=-1, kind="stable")[..., :spec.k]
+        k = min(spec.k, nominal.size)
+        # stable sort on (-prob, index) so ties break by ascending index
+        order = np.lexsort((np.arange(nominal.size), -nominal))
+        keep = order[:k]
         eff = np.ones_like(psi)
-        np.put_along_axis(eff, keep, np.take_along_axis(psi, keep, axis=-1),
-                          axis=-1)
+        eff[keep] = psi[keep]
         psi = eff
     elif spec.mode == "local":
         if regions is None:
             raise ValueError("local mode requires destination regions")
+        regions = np.asarray(regions)
         in_local = np.isin(regions, list(spec.local_regions))
         psi = np.where(in_local, psi, 1.0)
     return reweight_categorical(nominal, psi)

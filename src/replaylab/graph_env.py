@@ -98,8 +98,7 @@ class DiffusionGraph:
     _hop_cache: dict = field(default_factory=dict, repr=False)
     _seed_cache: dict = field(default_factory=dict, repr=False)
     _gate_mask_cache: dict = field(default_factory=dict, repr=False)
-    # batched stepping: copies' edge arrays, stimulus rows, injection rows
-    _cache: dict = field(default_factory=dict, repr=False)
+    _copies_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.out_ptr is None:
@@ -413,27 +412,23 @@ def initial_state(graph: DiffusionGraph, z: int, delay: int,
 def _copies(graph: DiffusionGraph, b: int):
     """Flat (src, dst, p) edge arrays of b copies of the graph: edge e of
     copy c is entry c*E + e, from node c*N + edge_src[e]."""
-    if b not in graph._cache:
+    if b not in graph._copies_cache:
         offset = np.arange(b)[:, None] * graph.node_count
-        graph._cache[b] = ((graph.edge_src + offset).ravel(),
-                           (graph.edge_dst + offset).ravel(),
-                           np.tile(graph.edge_p, b))
-    return graph._cache[b]
+        graph._copies_cache[b] = ((graph.edge_src + offset).ravel(),
+                                  (graph.edge_dst + offset).ravel(),
+                                  np.tile(graph.edge_p, b))
+    return graph._copies_cache[b]
 
 
 def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
     """For B copies with these stimuli: the undirected hop distances [B, N]
     from each copy's seed set (-1 unreachable), and the seed sets as flat
     node indices b*N + s [B, k]."""
-    key = (tuple(stimuli), params.k_seed, params.seed_pool)
-    if key not in graph._cache:
-        seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
-                 for z in stimuli]
-        offset = np.arange(len(seeds))[:, None] * graph.node_count
-        graph._cache[key] = (
-            np.stack([graph.hop_distance_from(s) for s in seeds]),
+    seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
+             for z in stimuli]
+    offset = np.arange(len(seeds))[:, None] * graph.node_count
+    return (np.stack([graph.hop_distance_from(s) for s in seeds]),
             np.stack(seeds) + offset)
-    return graph._cache[key]
 
 
 def segment_sums(values: np.ndarray, counts) -> np.ndarray:
@@ -562,45 +557,25 @@ def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     return active, new, idx, p
 
 
-def _law_rows(graph: DiffusionGraph, seeds: np.ndarray, action: Action):
-    """The nominal rows of a step's injection draws, as (nodes, nominal,
-    real): Conservative picks one seed (uniformly), Aggressive one
-    out-neighbour per seed with out-edges (by edge_p). Rows are padded
-    with node 0 at probability 0; `real` marks the entries that are not."""
-    key = (int(action), tuple(seeds.tolist()))
-    if key not in graph._cache:
-        if action == Action.CONSERVATIVE:
-            rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
-        else:
-            rows = [(d, pe / pe.sum())
-                    for d, pe in map(graph.out_edges_of, seeds) if d.size]
-        nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
-                         dtype=np.int64)
-        nominal = np.zeros(nodes.shape)
-        for j, (d, p) in enumerate(rows):
-            nodes[j, :d.size] = d
-            nominal[j, :d.size] = p
-        graph._cache[key] = nodes, nominal, nominal > 0
-    return graph._cache[key]
-
-
 def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
                   deform: DeformationSpec, action: Action):
-    """(nodes, cdf) rows of a step's injection draws (`_law_rows`). Rows go
-    through `apply_mode` and get their CDF as `rng.choice` computes it;
-    padding gets 2.0. Rows narrower than numpy's 8-wide pairwise-sum block
-    are reweighted together, as zero padding leaves their sums exact;
-    wider ones one by one."""
-    nodes, nominal, real = _law_rows(graph, seeds, action)
-    if nodes.shape[1] < 8:
-        prob = apply_mode(nominal, psi[nodes], deform, regions=nodes)
+    """(nodes, cdf) rows of a step's injection draws: Conservative picks one
+    seed (nominally uniform), Aggressive one out-neighbour per seed with
+    out-edges (nominally by edge_p). Rows go through `apply_mode`, get
+    their CDF as `rng.choice` computes it, and are padded with 2.0."""
+    if action == Action.CONSERVATIVE:
+        rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
     else:
-        prob = np.zeros(nominal.shape)
-        for j, r in enumerate(real):
-            prob[j, r] = apply_mode(nominal[j, r], psi[nodes[j, r]], deform,
-                                    regions=nodes[j, r])
-    c = np.cumsum(prob, axis=1)
-    return nodes, np.where(real, c / c[:, -1:], 2.0)
+        rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
+                if d.size]
+    nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
+                     dtype=np.int64)
+    cdf = np.full(nodes.shape, 2.0)
+    for j, (d, nominal) in enumerate(rows):
+        c = np.cumsum(apply_mode(nominal, psi[d], deform, regions=d))
+        nodes[j, :d.size] = d
+        cdf[j, :d.size] = c / c[-1]
+    return nodes, cdf
 
 
 def _pick(law, u: np.ndarray) -> np.ndarray:
@@ -660,8 +635,8 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
             if action != Action.CONSERVATIVE:
                 injected.append(seeds[b])
             if action != Action.MODERATE:
-                psi = conductance(None, HarmFields(G=fields.G[b], H=fields.H[b],
-                                                   params=fp), deform)
+                psi = conductance(np.arange(n), HarmFields(
+                    G=fields.G[b], H=fields.H[b], params=fp), deform)
                 law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
                                     Action(action))
                 injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)

@@ -253,31 +253,36 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
                fields: HarmFields, deform: DeformationSpec, rngs, steps: int,
                env_params: EnvParams, hops: np.ndarray):
     """Run one phase of B copies; returns the batch, the fields and one
-    PhaseSeries per copy, built from the phase's stacked history."""
+    PhaseSeries per copy, built from the phase's stacked history. The
+    history keeps each step's active sets and (B,)-sized reductions of the
+    rest, so it grows as T*B*N bytes."""
     hist = []
+    seen = hops >= 0
     for _ in range(steps):
         step, fields, actions, dists, _ = agent_step(
             batch, policies, graph, fields, deform, rngs, steps, env_params)
         batch = step.batch
-        hist.append((batch.active, batch.newly, step.reward, actions, dists,
-                     step.odds, fields.G, fields.H))
-    active, newly, rewards, actions, dists, odds, g, h = zip(*hist)
+        h = fields.H
+        top = np.argsort(-h, axis=1, kind="stable")[:, :10]
+        hist.append((batch.active, step.reward, actions, dists, step.odds,
+                     np.where(batch.newly & seen, hops, 0).max(axis=1),
+                     fields.G.sum(axis=1), h.sum(axis=1), top,
+                     np.take_along_axis(h, top, axis=1)))
+    active, rewards, actions, dists, odds, radius, g_sum, h_sum, top, top_h = \
+        zip(*hist)
     active = np.stack(active)                       # (T, B, N)
     actions = np.array(actions, dtype=np.uint8)
-    h = np.stack(h)
-    new_hops = np.where(np.stack(newly) & (hops >= 0), hops, 0)
     cols = {
         "reach": active.sum(axis=2),
         "sens": (active & graph.sensitive).sum(axis=2),
         "rewards": np.stack(rewards),
         "actions": actions,
         "odds": np.stack(odds),
-        "radius": np.maximum.accumulate(new_hops.max(axis=2), axis=0),
-        "g_sum": np.stack(g).sum(axis=2),
-        "h_sum": h.sum(axis=2),
+        "radius": np.maximum.accumulate(np.stack(radius), axis=0),
+        "g_sum": np.stack(g_sum),
+        "h_sum": np.stack(h_sum),
     }
-    top = np.argsort(-h, axis=2, kind="stable")[:, :, :10]
-    top_h = np.take_along_axis(h, top, axis=2)
+    top, top_h = np.stack(top), np.stack(top_h)     # (T, B, 10)
     positive = (top_h > 0).sum(axis=2)
     series = []
     for b in range(len(policies)):

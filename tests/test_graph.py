@@ -274,32 +274,3 @@ def test_reward_modes():
     assert lin.reward == pytest.approx(new / 50 - 0.001, abs=1e-12)
     assert log.reward == pytest.approx(
         (np.log1p(new) - np.log1p(0)) / np.log1p(50) - 0.001, abs=1e-12)
-
-
-@pytest.mark.parametrize("k_seed", [6, 9])
-@pytest.mark.parametrize("mode", ["full", "topk", "local", "off"])
-def test_stimulus_law_equals_row_by_row_reweighting(mode, k_seed):
-    # the injection rows, reweighted together (narrower than 8) or one by
-    # one (nine Conservative seeds), give the CDFs of reweighting each row
-    # on its own
-    from replaylab.deformation import apply_mode, conductance
-    from replaylab.graph_env import _stimulus_law
-    g = generate_graph(60, 1.5, seed=3)
-    rng = substream(0, 70)
-    fields = HarmFields(G=rng.uniform(0, 2, 60), H=rng.uniform(0, 1, 60),
-                        params=FieldParams())
-    spec = DeformationSpec(mode=mode, k=2, local_regions=frozenset(range(0, 60, 4)))
-    psi = conductance(np.arange(60), fields, spec)
-    seeds = stimulus_seed_set(1, g, k_seed=k_seed)
-    for action in (Action.CONSERVATIVE, Action.AGGRESSIVE):
-        nodes, cdf = _stimulus_law(g, seeds, psi, spec, action)
-        if action == Action.CONSERVATIVE:
-            rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
-        else:
-            rows = [(d, pe / pe.sum()) for d, pe in map(g.out_edges_of, seeds)]
-        assert len(nodes) == len(rows)
-        for j, (d, nominal) in enumerate(rows):
-            c = np.cumsum(apply_mode(nominal, psi[d], spec, regions=d))
-            assert np.array_equal(nodes[j, :d.size], d)
-            assert np.array_equal(cdf[j, :d.size], c / c[-1])
-            assert np.all(cdf[j, d.size:] == 2.0)
