@@ -99,6 +99,7 @@ class DiffusionGraph:
     _seed_cache: dict = field(default_factory=dict, repr=False)
     _gate_mask_cache: dict = field(default_factory=dict, repr=False)
     _copies_cache: dict = field(default_factory=dict, repr=False)
+    _stimulus_rows_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.out_ptr is None:
@@ -423,12 +424,17 @@ def _copies(graph: DiffusionGraph, b: int):
 def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
     """For B copies with these stimuli: the undirected hop distances [B, N]
     from each copy's seed set (-1 unreachable), and the seed sets as flat
-    node indices b*N + s [B, k]."""
-    seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
-             for z in stimuli]
-    offset = np.arange(len(seeds))[:, None] * graph.node_count
-    return (np.stack([graph.hop_distance_from(s) for s in seeds]),
+    node indices b*N + s [B, k]. Cached per stimuli, as every step reads
+    them twice (observation and injection)."""
+    key = (tuple(stimuli), params.k_seed, params.seed_pool)
+    if key not in graph._stimulus_rows_cache:
+        seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
+                 for z in stimuli]
+        offset = np.arange(len(seeds))[:, None] * graph.node_count
+        graph._stimulus_rows_cache[key] = (
+            np.stack([graph.hop_distance_from(s) for s in seeds]),
             np.stack(seeds) + offset)
+    return graph._stimulus_rows_cache[key]
 
 
 def segment_sums(values: np.ndarray, counts) -> np.ndarray:
