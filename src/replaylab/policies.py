@@ -52,17 +52,18 @@ def field_features_batch(fields: HarmFields, deform: DeformationSpec,
     (B, N) mask of each copy's frontier regions. Each row equals the one-copy
     result bit for bit; a copy without frontier has mean conductance 1."""
     count = frontier.sum(axis=1)
-    flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
-                      params=fields.params)
-    psi = segment_sums(conductance(np.flatnonzero(frontier), flat, deform),
-                       count)
     out = np.empty((len(count), FIELD_FEATURE_DIM))
     out[:, 0] = fields.G.sum(axis=1)
     out[:, 1] = fields.H.sum(axis=1)
     out[:, 2] = fields.G.max(axis=1)
     out[:, 3] = fields.H.max(axis=1)
     out[:, 4] = 1.0
-    np.divide(psi, count, out=out[:, 4], where=count > 0)
+    if count.any():
+        flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
+                          params=fields.params)
+        psi = segment_sums(conductance(np.flatnonzero(frontier), flat, deform),
+                           count)
+        np.divide(psi, count, out=out[:, 4], where=count > 0)
     return out
 
 
