@@ -76,9 +76,11 @@ def reweight_categorical(nominal: np.ndarray, psi: np.ndarray) -> np.ndarray:
         raise ValueError("nominal and psi must have matching shapes")
     if abs(nominal.sum() - 1.0) > 1e-12:
         raise ValueError("nominal distribution must sum to 1")
-    if np.any(nominal < 0):
+    # .any() rather than np.any(): this runs for every injection row, where
+    # np.any's argument handling costs more than the check itself
+    if (nominal < 0).any():
         raise ValueError("nominal distribution must be nonnegative")
-    if np.any(psi <= 0) or np.any(psi > 1):
+    if (psi <= 0).any() or (psi > 1).any():
         raise ValueError("psi entries must lie in (0, 1]")
     w = nominal * psi
     return w / w.sum()

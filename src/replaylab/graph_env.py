@@ -544,22 +544,24 @@ def frontier_regions(state: EnvState, graph: DiffusionGraph,
     return np.flatnonzero(frontier_mask(EnvBatch.of(state), graph, refire)[0])
 
 
-def _advance(active, newly, injected, src, dst, p, refire, draw):
+def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     """One transition on a flat node array: activate the injected nodes,
-    then fire each frontier edge e once with probability p[e], against
-    the uniforms `draw(idx)` for the frontier's edges idx. Without
-    `refire` the frontier's sources are the previous step's `newly`, so a
-    node's out-edges are tried once, on the step after it activates.
-    Returns the new active and newly arrays and the frontier's edges."""
+    then fire each frontier edge once, with probability `p_at(idx)` against
+    the uniforms `draw(idx)` for the frontier's edges idx. Without `refire`
+    the frontier's sources are the previous step's `newly`, so a node's
+    out-edges are tried once, on the step after it activates. Returns the
+    new active and newly arrays, the frontier's edges and their
+    probabilities."""
     new = np.zeros_like(active)
     new[injected] = True
     new &= ~active
     active = active | new
     idx = _frontier_edges(src, dst, active, active if refire else newly)
-    fired = dst[idx[draw(idx) < p[idx]]]
+    p = p_at(idx)
+    fired = dst[idx[draw(idx) < p]]
     active[fired] = True
     new[fired] = True
-    return active, new, idx
+    return active, new, idx, p
 
 
 def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
@@ -632,11 +634,6 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         harm = np.minimum(HARM_PER_SENSITIVE_NODE
                           * np.bincount(causal // n, minlength=b_count), 1.0)
 
-    # conductance of every node of every copy: copy b's region r is entry
-    # b*N + r of the flat fields
-    psi = conductance(np.arange(b_count * n), HarmFields(
-        G=fields.G.ravel(), H=fields.H.ravel(), params=fp), deform)
-
     # seed injection: every seed unless Conservative, plus any drawn picks
     injected = [np.empty(0, dtype=np.int64)]
     if batch.stimulus_on:
@@ -645,16 +642,23 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
             if action != Action.CONSERVATIVE:
                 injected.append(seeds[b])
             if action != Action.MODERATE:
-                law = _stimulus_law(graph, seeds[b] - b * n,
-                                    psi[b * n:b * n + n], deform, Action(action))
+                psi = conductance(np.arange(n), HarmFields(
+                    G=fields.G[b], H=fields.H[b], params=fp), deform)
+                law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
+                                    Action(action))
                 injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
 
     # cascade diffusion over frontier edges, gated by destination conductance
-    p_eff = p_nominal
     gmask = edge_gate_mask(graph, deform)
-    if gmask.any():
-        p_eff = np.where(gmask, gate_edge_prob(p_eff, psi[dst]).reshape(-1, e),
-                         p_eff.reshape(-1, e)).ravel()
+
+    def p_at(idx):
+        p = p_nominal[idx]
+        if idx.size and gmask.any():
+            # copy b's region r is entry b*N + r of the flat fields
+            flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(), params=fp)
+            p = np.where(gmask[idx % e], gate_edge_prob(
+                p, conductance(dst[idx], flat, deform)), p)
+        return p
 
     def draw(idx):
         if b_count == 1:
@@ -663,13 +667,14 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         parts = [r.random(c) for r, c in zip(rngs, counts) if c]
         return np.concatenate(parts) if parts else np.empty(0)
 
-    active, newly, idx = _advance(
+    active, newly, idx, p_eff = _advance(
         batch.active.ravel(), batch.newly.ravel(), np.concatenate(injected),
-        src, dst, p_eff, params.refire, draw)
+        src, dst, p_at, params.refire, draw)
 
     # analytic sensitive-entry odds at each copy's realized (state, action);
     # survival products kept exact so tiny q values do not cancel to 0
-    sens = idx[graph.sensitive[dst[idx] % n]]
+    to_sens = graph.sensitive[dst[idx] % n]
+    sens = idx[to_sens]
     odds = np.empty((b_count, 4))
     odds[:] = (0.0, 1.0, 0.0, 1.0)
     if sens.size:
@@ -678,7 +683,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         first[0] = True
         np.not_equal(copy[1:], copy[:-1], out=first[1:])
         start = np.flatnonzero(first)
-        q_g = np.multiply.reduceat(1.0 - p_eff[sens], start)
+        q_g = np.multiply.reduceat(1.0 - p_eff[to_sens], start)
         q_0 = np.multiply.reduceat(1.0 - p_nominal[sens], start)
         rows = copy[start]
         odds[rows, 0], odds[rows, 1] = 1.0 - q_g, q_g
@@ -745,9 +750,9 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
         if agg.size:
             ua = u[cons.size:].reshape(agg.size, rows)
             injected.append((agg[:, None] + _pick(agg_law, ua)).ravel())
-        active, newly, _ = _advance(active, newly,
-                                       np.concatenate(injected), src, dst, p,
-                                       params.refire,
+        active, newly, _, _ = _advance(active, newly,
+                                       np.concatenate(injected), src, dst,
+                                       p.__getitem__, params.refire,
                                        lambda idx: rng.random(idx.size))
         mass += (active.reshape(b, n) & graph.sensitive).sum(axis=1)
     return mass

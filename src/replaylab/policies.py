@@ -53,10 +53,10 @@ def field_features_batch(fields: HarmFields, deform: DeformationSpec,
     result bit for bit; a copy without frontier has mean conductance 1."""
     count = frontier.sum(axis=1)
     out = np.empty((len(count), FIELD_FEATURE_DIM))
-    out[:, 0] = fields.G.sum(axis=1)
-    out[:, 1] = fields.H.sum(axis=1)
-    out[:, 2] = fields.G.max(axis=1)
-    out[:, 3] = fields.H.max(axis=1)
+    np.add.reduce(fields.G, axis=1, out=out[:, 0])
+    np.add.reduce(fields.H, axis=1, out=out[:, 1])
+    np.maximum.reduce(fields.G, axis=1, out=out[:, 2])
+    np.maximum.reduce(fields.H, axis=1, out=out[:, 3])
     out[:, 4] = 1.0
     if count.any():
         flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
