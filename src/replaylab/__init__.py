@@ -20,7 +20,7 @@ from .metrics import (action_shift_distance, containment_radius,
                       discounted_return, episode_metrics, odds_ratio_series,
                       replay_ratios, replay_return, welch_ttest)
 from .policies import Policy, field_features, softmax
-from .rng import stream_seed, substream
+from .rng import substream
 from .rsd import (PhaseSeries, RsdConfig, RsdEpisodeRecord, run_rsd_episode,
                   run_rsd_episodes, scar_evolution)
 from .training import (Batch, TrainerState, dual_update, gae_advantages,

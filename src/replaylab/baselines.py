@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import KNOWN_METHODS, RunConfig, ShieldParams
+from .config import (KNOWN_METHODS, MethodConfig, RunConfig, ShieldParams,
+                     method_config)
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                         nominal_rollouts)
@@ -28,62 +29,10 @@ from .training import (Batch, TrainerState, check_finite, dual_update,
 
 __all__ = [
     "MethodConfig", "method_config", "ShieldParams", "ShieldedPolicy",
-    "shield_filter", "tune_shield_um", "run_method_suite", "MethodOutcome",
+    "shield_filter", "tune_shield_um", "run_episode_batch",
+    "run_method_episodes", "run_method_suite", "MethodOutcome",
     "read_records", "write_report",
 ]
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    method: str
-    train_deform_mode: str = "off"     # kernel used while training
-    eval_deform_mode: str = "off"      # kernel during Exposure/Decay/Replay
-    replay_deformation: str = "inherit"
-    feature_mode: str = "obs"
-    window: int = 1
-    cost_wiring: str = "none"          # none | instant | delayed_trace | rapo
-    shield: ShieldParams | None = None
-    shares_checkpoint_with: str | None = None
-
-
-_RAPO_BASE = MethodConfig(
-    method="rapo", train_deform_mode="full", eval_deform_mode="full",
-    replay_deformation="inherit", feature_mode="augmented",
-    cost_wiring="rapo",
-)
-
-
-def method_config(method: str, shield: ShieldParams | None = None) -> MethodConfig:
-    """Build the canonical configuration for a method id."""
-    if method == "ge":
-        return MethodConfig(method="ge")
-    if method == "ss":
-        return MethodConfig(method="ss", cost_wiring="instant")
-    if method == "dr":
-        return MethodConfig(method="dr", cost_wiring="delayed_trace")
-    if method in ("shield", "shield_um"):
-        return MethodConfig(method=method, cost_wiring="none",
-                            shield=shield or ShieldParams())
-    if method == "pm_st":
-        # identical to RAPO except the deformation mode
-        return replace(_RAPO_BASE, method="pm_st", train_deform_mode="off",
-                       eval_deform_mode="off")
-    if method == "pm_window":
-        return MethodConfig(method="pm_window", window=50,
-                            cost_wiring="delayed_trace")
-    if method == "rapo":
-        return _RAPO_BASE
-    if method == "rapo_off_rep":
-        return replace(_RAPO_BASE, method="rapo_off_rep",
-                       replay_deformation="off",
-                       shares_checkpoint_with="rapo")
-    if method == "rapo_topk":
-        return replace(_RAPO_BASE, method="rapo_topk",
-                       train_deform_mode="topk", eval_deform_mode="topk")
-    if method == "rapo_local":
-        return replace(_RAPO_BASE, method="rapo_local",
-                       train_deform_mode="local", eval_deform_mode="local")
-    raise ConfigError(f"unknown method id {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +268,28 @@ def _checkpoint(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig,
     return checkpoints[key]
 
 
-def _run_episodes_task(args):
-    """The records of one contiguous run of a method's episodes on a graph,
-    stepped together."""
-    cfg, mcfg, checkpoint_json, graph, episodes = args
-    stimuli = cfg.section("rsd")["stimuli"]
-    seeds = [_episode_seed(cfg["master_seed"], graph.seed, ep) for ep in episodes]
+def run_episode_batch(cfg: RunConfig, mcfg: MethodConfig,
+                      checkpoint_json: str, graph: DiffusionGraph, stimuli,
+                      episode_seeds) -> list:
+    """The records of a method's episodes on a graph, stepped together.
+
+    Episode b runs stimulus stimuli[b] from seed episode_seeds[b] with its
+    own frozen copy of the checkpoint, shielded if the method has a shield.
+    """
     policies = []
-    for seed in seeds:
+    for seed in episode_seeds:
         policy = Policy.from_json(checkpoint_json).freeze()
         if mcfg.shield is not None:
             policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
                                     cfg.field_params, seed)
         policies.append(policy)
-    configs = [replace(cfg.rsd_config, z=stimuli[ep % len(stimuli)],
+    configs = [replace(cfg.rsd_config, z=z,
                        replay_deformation=mcfg.replay_deformation)
-               for ep in episodes]
+               for z in stimuli]
     fields = HarmFields.zeros(graph.node_count, cfg.field_params)
     return run_rsd_episodes(configs, policies, graph, fields,
-                            cfg.deform(mcfg.eval_deform_mode, graph), seeds,
-                            cfg.env_params)
+                            cfg.deform(mcfg.eval_deform_mode, graph),
+                            episode_seeds, cfg.env_params)
 
 
 def run_method_episodes(cfg: RunConfig, mcfg: MethodConfig,
@@ -348,15 +299,19 @@ def run_method_episodes(cfg: RunConfig, mcfg: MethodConfig,
     batch of them, or with `workers` > 1 one contiguous chunk per worker."""
     if theta_override is not None and mcfg.shield is not None:
         mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta_override))
+    stimuli = cfg.section("rsd")["stimuli"]
     chunks = [c.tolist() for c in np.array_split(np.arange(cfg["episodes"]),
                                                  cfg["workers"]) if c.size]
-    tasks = [(cfg, mcfg, checkpoint_json, graph, chunk) for chunk in chunks]
-    if len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-            return [rec for recs in ex.map(_run_episodes_task, tasks)
-                    for rec in recs]
-    return _run_episodes_task(tasks[0])
+    zs = [[stimuli[ep % len(stimuli)] for ep in chunk] for chunk in chunks]
+    seeds = [[_episode_seed(cfg["master_seed"], graph.seed, ep) for ep in chunk]
+             for chunk in chunks]
+    n = len(chunks)
+    args = ([cfg] * n, [mcfg] * n, [checkpoint_json] * n, [graph] * n, zs, seeds)
+    if n == 1:
+        return run_episode_batch(*(a[0] for a in args))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=n) as ex:
+        return [rec for recs in ex.map(run_episode_batch, *args) for rec in recs]
 
 
 def _report_methods(cfg: RunConfig) -> list:

@@ -11,19 +11,16 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .baselines import (method_config, read_records, run_method_suite,
-                        train_policy, write_report)
-from .config import RunConfig, checked, load_config
+from .baselines import (method_config, read_records, run_episode_batch,
+                        run_method_suite, train_policy, write_report)
+from .config import RunConfig, load_config
 from .errors import ConfigError, ProtocolError
-from .graph_env import N_STIMULI, DiffusionGraph, generate_graph
-from .harm_memory import HarmFields
+from .graph_env import N_STIMULI, DiffusionGraph
 from .metrics import episode_metrics
 from .policies import Policy
-from .rsd import run_rsd_episode
 
 __all__ = ["main", "build_parser"]
 
@@ -32,12 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="replaylab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-graph", help="generate a diffusion graph")
-    g.add_argument("--nodes", type=int, required=True)
-    g.add_argument("--branching", type=float, required=True)
+    g = sub.add_parser("gen-graph", help="write one of a config's graphs")
+    g.add_argument("--config", default="{}")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--sens-frac", type=float, default=0.2)
-    g.add_argument("--locality", type=float, default=0.0)
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train one method's policy")
@@ -49,15 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--graph", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", default="{}")
+    e.add_argument("--method", default="rapo")
     e.add_argument("--z", type=int, default=1,
                    choices=range(1, N_STIMULI + 1), metavar="Z")
     e.add_argument("--episode-seed", type=int, default=0)
-    e.add_argument("--rng-mode", choices=["independent", "paired"],
-                   default="independent")
-    e.add_argument("--replay-deformation", choices=["inherit", "off"],
-                   default="inherit")
-    e.add_argument("--deform-mode", choices=["full", "topk", "local", "off"],
-                   default="full")
     e.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="full method suite")
@@ -100,10 +89,13 @@ def _read_input(path: str, parse):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _checkpoint_text(text: str) -> str:
+    Policy.from_json(text)          # raises ValueError if malformed
+    return text
+
+
 def cmd_gen_graph(args) -> int:
-    graph = checked("gen-graph", generate_graph, args.nodes, args.branching,
-                    args.seed, sens_fraction=args.sens_frac,
-                    locality=args.locality)
+    graph = _user_config(args.config).graph(args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(graph.to_json())
     print(f"wrote graph ({graph.node_count} nodes, "
@@ -124,16 +116,13 @@ def cmd_train(args) -> int:
 
 def cmd_rsd_eval(args) -> int:
     cfg = _user_config(args.config)
+    mcfg = method_config(args.method, shield=cfg.shield_params)
     if args.episode_seed < 0:
         raise ConfigError("--episode-seed must be >= 0")
     graph = _read_input(args.graph, DiffusionGraph.from_json)
-    policy = _read_input(args.checkpoint, Policy.from_json).freeze()
-    rsd_cfg = replace(cfg.rsd_config, z=args.z, rng_mode=args.rng_mode,
-                      replay_deformation=args.replay_deformation)
-    fields = HarmFields.zeros(graph.node_count, cfg.field_params)
-    record = run_rsd_episode(rsd_cfg, policy, graph, fields,
-                             cfg.deform(args.deform_mode, graph),
-                             args.episode_seed, cfg.env_params)
+    checkpoint = _read_input(args.checkpoint, _checkpoint_text)
+    [record] = run_episode_batch(cfg, mcfg, checkpoint, graph, [args.z],
+                                 [args.episode_seed])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record.to_dict()) + "\n")
     m = episode_metrics(record)

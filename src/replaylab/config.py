@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .deformation import DeformationSpec
 from .errors import ConfigError
@@ -16,14 +16,9 @@ from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvParams,
 from .harm_memory import FieldParams
 from .rsd import RsdConfig
 
-__all__ = ["RunConfig", "ShieldParams", "load_config", "config_hash",
-           "KNOWN_METHODS", "desk_preset", "checked"]
-
-# execution order of the suite: shield_um tunes against a finished rapo run
-KNOWN_METHODS = (
-    "ge", "ss", "dr", "shield", "pm_st", "pm_window",
-    "rapo", "rapo_off_rep", "rapo_topk", "rapo_local", "shield_um",
-)
+__all__ = ["RunConfig", "ShieldParams", "MethodConfig", "method_config",
+           "load_config", "config_hash", "KNOWN_METHODS", "desk_preset",
+           "checked"]
 
 _DEFAULTS = {
     "run_id": "run",
@@ -104,6 +99,57 @@ class ShieldParams:
     @property
     def transitions_per_step(self) -> int:
         return self.n_mc * self.horizon * 3
+
+
+@dataclass(frozen=True)
+class MethodConfig:
+    method: str
+    train_deform_mode: str = "off"     # kernel used while training
+    eval_deform_mode: str = "off"      # kernel during Exposure/Decay/Replay
+    replay_deformation: str = "inherit"
+    feature_mode: str = "obs"
+    window: int = 1
+    cost_wiring: str = "none"          # none | instant | delayed_trace | rapo
+    shield: ShieldParams | None = None
+    shares_checkpoint_with: str | None = None
+
+
+_RAPO = MethodConfig(method="rapo", train_deform_mode="full",
+                     eval_deform_mode="full", feature_mode="augmented",
+                     cost_wiring="rapo")
+
+# every method id, in the suite's execution order: shield_um tunes against
+# a finished rapo run
+_METHODS = {m.method: m for m in (
+    MethodConfig(method="ge"),
+    MethodConfig(method="ss", cost_wiring="instant"),
+    MethodConfig(method="dr", cost_wiring="delayed_trace"),
+    MethodConfig(method="shield", shield=ShieldParams()),
+    # identical to RAPO except the deformation mode
+    replace(_RAPO, method="pm_st", train_deform_mode="off",
+            eval_deform_mode="off"),
+    MethodConfig(method="pm_window", window=50, cost_wiring="delayed_trace"),
+    _RAPO,
+    replace(_RAPO, method="rapo_off_rep", replay_deformation="off",
+            shares_checkpoint_with="rapo"),
+    replace(_RAPO, method="rapo_topk", train_deform_mode="topk",
+            eval_deform_mode="topk"),
+    replace(_RAPO, method="rapo_local", train_deform_mode="local",
+            eval_deform_mode="local"),
+    MethodConfig(method="shield_um", shield=ShieldParams()),
+)}
+KNOWN_METHODS = tuple(_METHODS)
+
+
+def method_config(method: str, shield: ShieldParams | None = None) -> MethodConfig:
+    """The configuration of a method id; `shield`, if given, replaces a
+    shield method's default parameters."""
+    if method not in _METHODS:
+        raise ConfigError(f"unknown method id {method!r}")
+    mcfg = _METHODS[method]
+    if shield is not None and mcfg.shield is not None:
+        mcfg = replace(mcfg, shield=shield)
+    return mcfg
 
 
 def checked(where: str, build, *args, **kwargs):

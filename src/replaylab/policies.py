@@ -19,6 +19,7 @@ from .deformation import DeformationSpec, conductance
 from .errors import ProtocolError
 from .graph_env import segment_sums
 from .harm_memory import HarmFields
+from .rng import categorical
 
 __all__ = ["Policy", "N_ACTIONS", "OBS_DIM", "FIELD_FEATURE_DIM",
            "field_features", "field_features_batch", "softmax"]
@@ -145,7 +146,7 @@ class Policy:
                       rng: np.random.Generator) -> int:
         """Draw an action (one uniform, whatever the kind) and remember obs."""
         dist = self.action_distribution(self.features(obs, field_summary))
-        action = int(rng.choice(N_ACTIONS, p=dist))
+        action = categorical(dist.tolist(), rng)
         self.remember(obs)
         return action
 
@@ -207,10 +208,3 @@ class Policy:
                        scripted_action=obj["scripted_action"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint field missing or mistyped: {exc}") from None
-
-    def clone(self) -> "Policy":
-        p = Policy(kind=self.kind, feature_mode=self.feature_mode,
-                   window=self.window,
-                   weights=None if self.weights is None else self.weights.copy(),
-                   scripted_action=self.scripted_action)
-        return p

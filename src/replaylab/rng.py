@@ -7,16 +7,12 @@ results are independent of worker count and execution order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
-__all__ = ["substream", "stream_seed"]
-
-
-def stream_seed(*key: int) -> np.random.SeedSequence:
-    """Build a SeedSequence for the given integer key tuple."""
-    if any(k < 0 for k in key):
-        raise ValueError(f"stream key must be nonnegative, got {key}")
-    return np.random.SeedSequence(list(key))
+__all__ = ["substream", "categorical"]
 
 
 def substream(*key: int) -> np.random.Generator:
@@ -24,4 +20,14 @@ def substream(*key: int) -> np.random.Generator:
 
     Identical keys always yield identical streams.
     """
-    return np.random.Generator(np.random.PCG64(stream_seed(*key)))
+    if any(k < 0 for k in key):
+        raise ValueError(f"stream key must be nonnegative, got {key}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def categorical(p, rng: np.random.Generator) -> int:
+    """Draw an index from the probabilities `p` with one uniform, exactly
+    as `rng.choice(len(p), p=p)` draws it, in Python floats (its argument
+    checks cost more than a scripted policy's evaluation)."""
+    cdf = list(accumulate(p))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())

@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .graph_env import (N_STIMULI, Action, BatchStep, DiffusionGraph,
                         frontier_mask, observe_batch, stimulus_rows)
 from .harm_memory import HarmFields, attribute_harm, update_scar
 from .policies import Policy, field_features_batch
-from .rng import substream
+from .rng import categorical, substream
 
 __all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "agent_step",
            "run_rsd_episode", "run_rsd_episodes", "scar_evolution"]
@@ -213,9 +211,9 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     `fields` holds the (B, N) fields; copy b has its own policy and
     generator. Per copy it binds the state to a policy that asks for it
     (the shield), evaluates the policy once on the copy's row of the
-    batched observation (features, then distribution), draws the action as
-    `rng.choice` would and pushes the observation into the policy's
-    memory. Then all copies step together and the harm fields update.
+    batched observation (features, then distribution), draws the action
+    (`categorical`) and pushes the observation into the policy's memory.
+    Then all copies step together and the harm fields update.
     Returns the BatchStep, the new fields, and per copy the action, its
     distribution (a list) and the features.
     """
@@ -232,10 +230,7 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     for policy, rng, o, f in zip(policies, rngs, obs, fs):
         feats.append(policy.features(o, f))
         dists.append(tuple(policy.action_distribution(feats[-1]).tolist()))
-        # rng.choice(len(dist), p=dist)'s draw in Python floats, as its
-        # argument checks cost more than a scripted policy's evaluation
-        cdf = list(accumulate(dists[-1]))
-        actions.append(bisect_right([c / cdf[-1] for c in cdf], rng.random()))
+        actions.append(categorical(dists[-1], rng))
         policy.remember(o)
     if len(policies) == 1:
         res = env_step(batch.episode(0), Action(actions[0]), graph,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .policies import Policy
-from .rng import substream
+from .rng import categorical, substream
 
 __all__ = [
     "ToyMdp", "make_toy_mdp", "check_no_go", "check_odds_contraction",
@@ -102,8 +102,8 @@ class ToyMdp:
         actions = np.empty(steps, dtype=np.int64)
         for t in range(steps):
             obs = self.observation(s, t, steps)
-            a = int(policy.sample_action(obs, None, rng))
-            s = int(rng.choice(self.n_states, p=self.row(s, a, xi)))
+            a = policy.sample_action(obs, None, rng)
+            s = categorical(self.row(s, a, xi).tolist(), rng)
             if self.harmful[s]:
                 xi += 1
             states[t] = s

@@ -22,7 +22,7 @@ from replaylab.harm_memory import FieldParams, HarmFields, attribute_harm, \
     update_scar
 from replaylab.policies import Policy
 from replaylab.rng import substream
-from replaylab.rsd import RsdConfig, run_rsd_episode
+from replaylab.rsd import RsdConfig, run_rsd_episodes
 from replaylab.verification import (check_compounding, check_no_go,
                                     check_odds_contraction, check_safe_mass,
                                     make_toy_mdp)
@@ -48,16 +48,23 @@ def _means(outcome, key):
     return float(np.mean(vals))
 
 
+def _episodes(cfg, make_policy, graph, seeds):
+    """One batched call: every episode starts from zero fields and has its
+    own frozen policy."""
+    return run_rsd_episodes([cfg] * len(seeds),
+                            [make_policy() for _ in seeds], graph,
+                            HarmFields.zeros(50, FieldParams(delay=10)), OFF,
+                            seeds)
+
+
 def test_criterion_01_paired_replay_bit_identical():
     toy = check_no_go(make_toy_mdp(8, seed=0), trials=200, seed=0)
     graph_ok = 0
     cfg = RsdConfig(t_exp=30, t_decay=10, t_rep=30, rng_mode="paired")
-    pol = Policy(kind="softmax", seed=1).freeze()
     for gseed in (1, 2, 3, 4):
         graph = generate_graph(50, 1.1, seed=gseed)
-        for ep in range(50):
-            fields = HarmFields.zeros(50, FieldParams(delay=10))
-            rec = run_rsd_episode(cfg, pol, graph, fields, OFF, 1000 + ep)
+        for rec in _episodes(cfg, lambda: Policy(kind="softmax", seed=1).freeze(),
+                             graph, [1000 + ep for ep in range(50)]):
             graph_ok += (rec.phases["replay"].traj_hash
                          == rec.phases["exposure"].traj_hash)
     ok = toy["paired_identical"] and graph_ok == 200
@@ -67,20 +74,19 @@ def test_criterion_01_paired_replay_bit_identical():
 
 def test_criterion_02_stationary_methods_indistinguishable():
     policies = {
-        "ge": Policy(kind="scripted", scripted_action=1).freeze(),
-        "pm_st": Policy(kind="softmax", seed=2).freeze(),
-        "window": Policy(kind="window", window=50, seed=3).freeze(),
+        "ge": lambda: Policy(kind="scripted", scripted_action=1).freeze(),
+        "pm_st": lambda: Policy(kind="softmax", seed=2).freeze(),
+        "window": lambda: Policy(kind="window", window=50, seed=3).freeze(),
     }
     cfg = RsdConfig(t_exp=40, t_decay=10, t_rep=40, rng_mode="independent")
     graphs = [generate_graph(50, 3.0, seed=s) for s in (1, 2, 3, 4)]
     results = {}
     ok = True
-    for name, pol in policies.items():
+    for name, make_policy in policies.items():
         exp_pk, rep_pk, rags = [], [], []
         for graph in graphs:
-            for ep in range(50):
-                fields = HarmFields.zeros(50, FieldParams(delay=10))
-                rec = run_rsd_episode(cfg, pol, graph, fields, OFF, 5000 + ep)
+            for rec in _episodes(cfg, make_policy, graph,
+                                 [5000 + ep for ep in range(50)]):
                 e = max(rec.phases["exposure"].reach)
                 r = max(rec.phases["replay"].reach)
                 exp_pk.append(e)

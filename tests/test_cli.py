@@ -7,8 +7,10 @@ import os
 
 import pytest
 
+from replaylab.baselines import method_config
 from replaylab.cli import main
-from replaylab.graph_env import DiffusionGraph
+from replaylab.config import desk_preset, load_config
+from replaylab.graph_env import DiffusionGraph, generate_graph
 from replaylab.policies import Policy
 
 TINY = {
@@ -35,37 +37,79 @@ def _write_cfg(tmp_path, name="cfg.json", **over):
 def test_gen_graph_round_trip_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    args = ["gen-graph", "--nodes", "50", "--branching", "1.1", "--seed", "4"]
+    args = ["gen-graph", "--config", '{"graph": {"nodes": 50, "branching": 1.1}}',
+            "--seed", "4"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_text() == generate_graph(50, 1.1, seed=4).to_json()
     g = DiffusionGraph.from_json(out1.read_text())
     assert g.node_count == 50 and g.seed == 4
     assert "sensitive" in capsys.readouterr().out
 
 
-def test_gen_graph_missing_out_is_usage_error(tmp_path):
+def test_gen_graph_missing_out_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["gen-graph", "--nodes", "50", "--branching", "1.1",
-              "--seed", "4"])
+        main(["gen-graph", "--config", "{}", "--seed", "4"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().endswith(
+        "the following arguments are required: --out")
 
 
 def test_rsd_eval_runs_one_episode(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
     gpath = tmp_path / "g.json"
-    main(["gen-graph", "--nodes", "50", "--branching", "1.5", "--seed", "1",
-          "--out", str(gpath)])
+    main(["gen-graph", "--config", cfg, "--seed", "1", "--out", str(gpath)])
     ckpt = tmp_path / "p.json"
     ckpt.write_text(Policy(kind="scripted", scripted_action=1).to_json())
     out = tmp_path / "rec.jsonl"
-    cfg = _write_cfg(tmp_path)
-    rc = main(["rsd-eval", "--graph", str(gpath), "--checkpoint", str(ckpt),
-               "--config", cfg, "--z", "2", "--episode-seed", "9",
-               "--out", str(out)])
-    assert rc == 0
+    args = ["rsd-eval", "--graph", str(gpath), "--checkpoint", str(ckpt),
+            "--config", cfg, "--z", "2", "--episode-seed", "9",
+            "--out", str(out)]
+    assert main(args) == 0
     rec = json.loads(out.read_text())
     assert set(rec["phases"]) == {"exposure", "decay", "replay"}
     assert "rag=" in capsys.readouterr().out
+    assert main(args + ["--method", "telepathy"]) == 2
+    assert "telepathy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rng_mode", ["independent", "paired"])
+def test_gen_graph_and_rsd_eval_reproduce_run_records(tmp_path, monkeypatch,
+                                                      rng_mode):
+    # each record file of a desk run, rebuilt by the single-episode path
+    # from the run's own config, byte for byte
+    monkeypatch.delenv("REPLAYLAB_SEED", raising=False)
+    methods = ["ge", "rapo", "rapo_off_rep"]
+    cfg_path = tmp_path / "desk.json"
+    cfg_path.write_text(json.dumps(desk_preset(
+        graph={"seeds": [2]}, episodes=2, methods=methods,
+        fields={"delay": 5}, rsd={"t_exp": 20, "t_decay": 5, "t_rep": 20,
+                                  "rng_mode": rng_mode})))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir)]) == 0
+    gpath = tmp_path / "g.json"
+    assert main(["gen-graph", "--config", str(cfg_path), "--seed", "2",
+                 "--out", str(gpath)]) == 0
+    cfg = load_config(str(cfg_path))
+    for method in methods:
+        ckpt = tmp_path / f"{method}.json"
+        ckpt.write_text(Policy(
+            kind="scripted", feature_mode=method_config(method).feature_mode,
+            scripted_action=cfg.scripted_action).to_json())
+        paths = sorted((out_dir / "run" / method / "2").iterdir())
+        assert len(paths) == 2
+        for path in paths:
+            rec = json.loads(path.read_text())
+            assert rec["config"]["rng_mode"] == rng_mode
+            out = tmp_path / "rec.jsonl"
+            assert main(["rsd-eval", "--graph", str(gpath),
+                         "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                         "--method", method, "--z", str(rec["config"]["z"]),
+                         "--episode-seed", str(rec["episode_seed"]),
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == path.read_bytes()
 
 
 def test_run_produces_csv_schema_and_manifest(tmp_path):
@@ -192,7 +236,6 @@ def test_report_matches_run_with_multi_digit_graph_seeds(tmp_path):
 
 def test_train_checkpoint_matches_run_checkpoint(tmp_path, monkeypatch):
     monkeypatch.delenv("REPLAYLAB_SEED", raising=False)
-    from replaylab.config import desk_preset
     cfg = tmp_path / "desk.json"
     cfg.write_text(json.dumps(desk_preset(
         graph={"seeds": [1]}, episodes=1, methods=["rapo"],
@@ -209,7 +252,6 @@ def test_train_checkpoint_matches_run_checkpoint(tmp_path, monkeypatch):
 
 
 def _graph_json(**change):
-    from replaylab.graph_env import generate_graph
     obj = json.loads(generate_graph(50, 1.5, seed=1).to_json())
     for key, fn in change.items():
         obj[key] = fn(obj[key])

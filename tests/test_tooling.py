@@ -1,11 +1,14 @@
-"""Names the benchmark's span tracer looks up in the library."""
+"""Names the benchmark's span tracer looks up in the library, and the
+commands the README documents."""
 
 import importlib
 import importlib.util
+import shlex
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_perfbench_traced_names_resolve(monkeypatch):
@@ -25,3 +28,16 @@ def test_perfbench_traced_names_resolve(monkeypatch):
         if attr not in vars(owner or object):
             missing.append(t.name)
     assert spans.TARGETS and missing == []
+
+
+def test_readme_commands_parse():
+    # every `replaylab ...` line of README's Command line block must be
+    # accepted by the parser, so the documented flags cannot drift
+    from replaylab.cli import build_parser
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("replaylab ")]
+    assert len(lines) >= 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
