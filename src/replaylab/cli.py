@@ -89,9 +89,23 @@ def _read_input(path: str, parse):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _checkpoint_text(text: str) -> str:
-    Policy.from_json(text)          # raises ValueError if malformed
-    return text
+def _checkpoint_for(mcfg):
+    """Parser of a checkpoint's text that raises ValueError unless it is
+    well formed and one the suite could run under `mcfg`: its feature
+    mode, and unless scripted its kind and window, are the method's."""
+    def parse(text: str) -> str:
+        policy = Policy.from_json(text)
+        kind = "window" if mcfg.window > 1 else "softmax"
+        if (policy.feature_mode != mcfg.feature_mode
+                or policy.kind != "scripted"
+                and (policy.kind, policy.window) != (kind, mcfg.window)):
+            raise ValueError(
+                f"a {policy.kind} checkpoint with feature_mode "
+                f"{policy.feature_mode!r} and window {policy.window} does not "
+                f"fit method {mcfg.method!r} (feature_mode "
+                f"{mcfg.feature_mode!r}, window {mcfg.window})")
+        return text
+    return parse
 
 
 def cmd_gen_graph(args) -> int:
@@ -120,7 +134,7 @@ def cmd_rsd_eval(args) -> int:
     if args.episode_seed < 0:
         raise ConfigError("--episode-seed must be >= 0")
     graph = _read_input(args.graph, DiffusionGraph.from_json)
-    checkpoint = _read_input(args.checkpoint, _checkpoint_text)
+    checkpoint = _read_input(args.checkpoint, _checkpoint_for(mcfg))
     [record] = run_episode_batch(cfg, mcfg, checkpoint, graph, [args.z],
                                  [args.episode_seed])
     with open(args.out, "w", encoding="utf-8") as fh:

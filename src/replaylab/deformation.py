@@ -9,6 +9,7 @@ restrict where the reweighting applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -16,8 +17,12 @@ __all__ = [
     "DeformationSpec",
     "conductance",
     "reweight_categorical",
+    "reweight_rows",
     "gate_edge_prob",
+    "gated_entries",
     "apply_mode",
+    "check_nominal",
+    "segment_sums",
 ]
 
 _MODES = ("full", "topk", "local", "off")
@@ -68,27 +73,78 @@ def conductance(regions, fields, spec: DeformationSpec) -> np.ndarray:
     return np.clip(np.exp(expo), spec.psi_min, 1.0)
 
 
+def segment_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Sums of the consecutive segments of `values` with these lengths,
+    each summed as np.sum sums it (np.add.reduceat adds in sequence and
+    can differ from np.sum in the last bits)."""
+    if len(counts) == 1:
+        return np.array([np.add.reduce(values[:counts[0]])], dtype=float)
+    ends = list(accumulate(counts.tolist()))
+    return np.array([np.add.reduce(values[lo:hi])
+                     for lo, hi in zip([0] + ends, ends)], dtype=float)
+
+
+def check_nominal(nominal: np.ndarray) -> None:
+    """Raise ValueError unless `nominal` is a distribution: nonnegative
+    and summing to 1 within 1e-12."""
+    if abs(nominal.sum() - 1.0) > 1e-12:
+        raise ValueError("nominal distribution must sum to 1")
+    if (nominal < 0).any():
+        raise ValueError("nominal distribution must be nonnegative")
+
+
+def reweight_rows(nominal: np.ndarray, psi: np.ndarray, sizes: np.ndarray,
+                  own: np.ndarray | None = None) -> np.ndarray:
+    """`reweight_categorical` of R rows at once: P(y) = nominal(y)*psi(y) / Z.
+
+    Row j of the [R, W] arrays holds its sizes[j] entries first, then zero
+    nominal mass; `own` masks those entries, or is None if every row
+    fills the width. Z is summed over a row's own entries only, as np.sum
+    sums them, so each row equals the one-row reweighting of its entries
+    bit for bit whatever the padding. Every psi entry must lie in (0, 1];
+    the nominal rows are not checked (see `check_nominal`).
+    """
+    if np.count_nonzero((psi <= 0) | (psi > 1)):
+        raise ValueError("psi entries must lie in (0, 1]")
+    w = nominal * psi
+    return w / segment_sums(w.ravel() if own is None else w[own],
+                            sizes)[:, None]
+
+
 def reweight_categorical(nominal: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Exact mass-preserving reweighting P(y) = nominal(y)*psi(y) / Z."""
     nominal = np.asarray(nominal, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if nominal.shape != psi.shape:
         raise ValueError("nominal and psi must have matching shapes")
-    if abs(nominal.sum() - 1.0) > 1e-12:
-        raise ValueError("nominal distribution must sum to 1")
-    # .any() rather than np.any(): this runs for every injection row, where
-    # np.any's argument handling costs more than the check itself
-    if (nominal < 0).any():
-        raise ValueError("nominal distribution must be nonnegative")
-    if (psi <= 0).any() or (psi > 1).any():
-        raise ValueError("psi entries must lie in (0, 1]")
-    w = nominal * psi
-    return w / w.sum()
+    check_nominal(nominal)
+    row = reweight_rows(nominal.reshape(1, -1), psi.reshape(1, -1),
+                        np.array([nominal.size]))
+    return row.reshape(nominal.shape)
 
 
 def gate_edge_prob(p_uv, psi_v):
     """Factorized per-edge gate: p' = p_uv * psi_v (never exceeds nominal)."""
     return np.asarray(p_uv, dtype=float) * np.asarray(psi_v, dtype=float)
+
+
+def gated_entries(nominal: np.ndarray, spec: DeformationSpec,
+                  regions=None) -> np.ndarray:
+    """Mask of the entries of one categorical that the spec's mode gates:
+    all under full, none under off, the k most probable nominal entries
+    under topk (ties broken by ascending index), and under local those
+    whose region (from `regions`) lies in spec.local_regions."""
+    if spec.mode == "topk":
+        # stable sort on (-prob, index) so ties break by ascending index
+        order = np.lexsort((np.arange(nominal.size), -nominal))
+        mask = np.zeros(nominal.shape, dtype=bool)
+        mask[order[:spec.k]] = True
+        return mask
+    if spec.mode == "local":
+        if regions is None:
+            raise ValueError("local mode requires destination regions")
+        return np.isin(np.asarray(regions), list(spec.local_regions))
+    return np.full(nominal.shape, spec.mode == "full")
 
 
 def apply_mode(nominal: np.ndarray, psi: np.ndarray, spec: DeformationSpec,
@@ -105,18 +161,8 @@ def apply_mode(nominal: np.ndarray, psi: np.ndarray, spec: DeformationSpec,
             raise ValueError("nominal distribution must sum to 1")
         return nominal.copy()
     psi = np.asarray(psi, dtype=float)
-    if spec.mode == "topk":
-        k = min(spec.k, nominal.size)
-        # stable sort on (-prob, index) so ties break by ascending index
-        order = np.lexsort((np.arange(nominal.size), -nominal))
-        keep = order[:k]
-        eff = np.ones_like(psi)
-        eff[keep] = psi[keep]
-        psi = eff
-    elif spec.mode == "local":
-        if regions is None:
-            raise ValueError("local mode requires destination regions")
-        regions = np.asarray(regions)
-        in_local = np.isin(regions, list(spec.local_regions))
-        psi = np.where(in_local, psi, 1.0)
+    if psi.shape != nominal.shape:
+        raise ValueError("nominal and psi must have matching shapes")
+    if spec.mode != "full":
+        psi = np.where(gated_entries(nominal, spec, regions), psi, 1.0)
     return reweight_categorical(nominal, psi)

@@ -15,11 +15,13 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import DeformationSpec, apply_mode, conductance, gate_edge_prob
+from .deformation import (DeformationSpec, check_nominal, conductance,
+                          gate_edge_prob, gated_entries, reweight_rows,
+                          segment_sums)
 from .harm_memory import HarmFields
 from .rng import substream
 
@@ -44,12 +46,12 @@ __all__ = [
     "frontier_regions",
     "frontier_mask",
     "stimulus_rows",
-    "segment_sums",
     "edge_gate_mask",
 ]
 
 HARM_PER_SENSITIVE_NODE = 0.1
 N_STIMULI = 20
+_OFF = DeformationSpec(mode="off")
 
 
 class Action(IntEnum):
@@ -101,6 +103,7 @@ class DiffusionGraph:
     _gate_mask_cache: dict = field(default_factory=dict, repr=False)
     _copies_cache: dict = field(default_factory=dict, repr=False)
     _stimulus_rows_cache: dict = field(default_factory=dict, repr=False)
+    _injection_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.out_ptr is None:
@@ -136,7 +139,7 @@ class DiffusionGraph:
                     if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         q.append(v)
-            self._hop_cache[key] = dist
+            self._hop_cache[key] = _read_only(dist)
         return self._hop_cache[key]
 
     def to_json(self) -> str:
@@ -180,6 +183,15 @@ class DiffusionGraph:
         return cls(node_count=n, edge_src=src, edge_dst=dst, edge_p=p,
                    sensitive=np.isin(np.arange(n), sens), seed=seed,
                    branching_target=target, locality=locality)
+
+
+def _read_only(*arrays):
+    """Mark arrays that a graph caches read-only, so that no caller can
+    change the graph's law by writing into them; returns the array, or
+    the tuple of them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 def _grow_connected_set(adj, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,7 +327,7 @@ def stimulus_seed_set(z: int, graph: DiffusionGraph, k_seed: int = 3,
             candidates = np.arange(graph.node_count)
         k = min(k_seed, candidates.size)
         picked = rng.choice(candidates, size=k, replace=False)
-        graph._seed_cache[key] = np.sort(picked)
+        graph._seed_cache[key] = _read_only(np.sort(picked))
     return graph._seed_cache[key]
 
 
@@ -416,9 +428,9 @@ def _copies(graph: DiffusionGraph, b: int):
     copy c is entry c*E + e, from node c*N + edge_src[e]."""
     if b not in graph._copies_cache:
         offset = np.arange(b)[:, None] * graph.node_count
-        graph._copies_cache[b] = ((graph.edge_src + offset).ravel(),
-                                  (graph.edge_dst + offset).ravel(),
-                                  np.tile(graph.edge_p, b))
+        graph._copies_cache[b] = _read_only((graph.edge_src + offset).ravel(),
+                                            (graph.edge_dst + offset).ravel(),
+                                            np.tile(graph.edge_p, b))
     return graph._copies_cache[b]
 
 
@@ -432,19 +444,10 @@ def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
         seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
                  for z in stimuli]
         offset = np.arange(len(seeds))[:, None] * graph.node_count
-        graph._stimulus_rows_cache[key] = (
+        graph._stimulus_rows_cache[key] = _read_only(
             np.stack([graph.hop_distance_from(s) for s in seeds]),
             np.stack(seeds) + offset)
     return graph._stimulus_rows_cache[key]
-
-
-def segment_sums(values: np.ndarray, counts) -> np.ndarray:
-    """Sums of the consecutive segments of `values` with these lengths,
-    each summed as np.sum sums it (np.add.reduceat adds in sequence and
-    can differ from np.sum in the last bits)."""
-    ends = list(accumulate(counts.tolist()))
-    return np.array([np.add.reduce(values[lo:hi])
-                     for lo, hi in zip([0] + ends, ends)], dtype=float)
 
 
 def observe(state: EnvState, graph: DiffusionGraph, t_phase: int,
@@ -496,7 +499,7 @@ def edge_gate_mask(graph: DiffusionGraph, spec: DeformationSpec) -> np.ndarray:
                 pe = graph.edge_p[lo:hi]
                 order = np.lexsort((np.arange(pe.size), -pe))
                 mask[lo + order[: spec.k]] = True
-        graph._gate_mask_cache[key] = mask
+        graph._gate_mask_cache[key] = _read_only(mask)
     return graph._gate_mask_cache[key]
 
 
@@ -564,25 +567,75 @@ def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     return active, new, idx, p
 
 
+class _InjectionTable(NamedTuple):
+    """The fixed part of a stimulus's injection law: one row per draw,
+    padded to the widest row. `own` is None when no row is padded, and
+    `gated` when every entry is gated."""
+
+    nodes: np.ndarray               # int64 [R, W], padded with 0
+    nominal: np.ndarray             # float [R, W], padded with 0
+    gated: np.ndarray | None        # bool [R, W]: entries the mode gates
+    sizes: np.ndarray               # int64 [R]: entries per row
+    own: np.ndarray | None          # bool [R, W]: the rows' own entries
+    off_cdf: np.ndarray             # float [R, W]: the law under mode off
+
+
+def _injection_table(graph: DiffusionGraph, seeds: np.ndarray,
+                     deform: DeformationSpec, action: Action) -> _InjectionTable:
+    """The injection rows of a seed set: Conservative picks one seed
+    (nominally uniform), Aggressive one out-neighbour per seed with
+    out-edges (nominally by edge_p). Built and checked once per (seeds,
+    action, deployment mode) and cached on the graph."""
+    key = (tuple(seeds.tolist()), int(action), deform.mode, deform.k,
+           deform.local_regions)
+    table = graph._injection_cache.get(key)
+    if table is None:
+        if action == Action.CONSERVATIVE:
+            rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
+        else:
+            rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
+                    if d.size]
+        sizes = np.array([d.size for d, _ in rows], dtype=np.int64)
+        shape = (len(rows), sizes.max(initial=0))
+        nodes = np.zeros(shape, dtype=np.int64)
+        nominal, off_cdf = np.zeros(shape), np.full(shape, 2.0)
+        gated = np.zeros(shape, dtype=bool)
+        for j, (d, p) in enumerate(rows):
+            check_nominal(p)
+            c = np.cumsum(p)
+            nodes[j, :d.size], nominal[j, :d.size] = d, p
+            gated[j, :d.size] = gated_entries(p, deform, regions=d)
+            off_cdf[j, :d.size] = c / c[-1]
+        own = np.arange(shape[1]) < sizes[:, None]
+        _read_only(nodes, nominal, gated, sizes, own, off_cdf)
+        table = _InjectionTable(nodes=nodes, nominal=nominal,
+                                gated=None if gated.all() else gated,
+                                sizes=sizes, own=None if own.all() else own,
+                                off_cdf=off_cdf)
+        graph._injection_cache[key] = table
+    return table
+
+
 def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
                   deform: DeformationSpec, action: Action):
-    """(nodes, cdf) rows of a step's injection draws: Conservative picks one
-    seed (nominally uniform), Aggressive one out-neighbour per seed with
-    out-edges (nominally by edge_p). Rows go through `apply_mode`, get
-    their CDF as `rng.choice` computes it, and are padded with 2.0."""
-    if action == Action.CONSERVATIVE:
-        rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
-    else:
-        rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
-                if d.size]
-    nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
-                     dtype=np.int64)
-    cdf = np.full(nodes.shape, 2.0)
-    for j, (d, nominal) in enumerate(rows):
-        c = np.cumsum(apply_mode(nominal, psi[d], deform, regions=d))
-        nodes[j, :d.size] = d
-        cdf[j, :d.size] = c / c[-1]
-    return nodes, cdf
+    """(nodes, cdf) rows of a step's injection draws: the rows of
+    `_injection_table`, reweighted in one pass by psi at their gated
+    entries, with their CDFs as `rng.choice` computes them (cumsum, then
+    divided by the last entry) and padded with 2.0. Every row equals its
+    `apply_mode` result taken alone, bit for bit: a padded entry adds
+    0.0 to its row's cumsum, so the last column holds each row's total."""
+    table = _injection_table(graph, seeds, deform, action)
+    if deform.mode == "off" or not table.nodes.size:
+        return table.nodes, table.off_cdf
+    psi = psi[table.nodes]
+    if table.gated is not None:
+        psi = np.where(table.gated, psi, 1.0)
+    c = np.add.accumulate(reweight_rows(table.nominal, psi, table.sizes,
+                                        table.own), axis=1)
+    cdf = c / c[:, -1:]
+    if table.own is not None:
+        cdf = np.where(table.own, cdf, 2.0)
+    return table.nodes, cdf
 
 
 def _pick(law, u: np.ndarray) -> np.ndarray:
@@ -734,9 +787,9 @@ def nominal_rollouts(state: EnvState, actions, graph: DiffusionGraph,
         seeds = stimulus_seed_set(state.stimulus, graph, params.k_seed,
                                   params.seed_pool)
         fixed = (offset[actions != Action.CONSERVATIVE, None] + seeds).ravel()
-        off, ones = DeformationSpec(mode="off"), np.ones(n)
-        cons_law = _stimulus_law(graph, seeds, ones, off, Action.CONSERVATIVE)
-        agg_law = _stimulus_law(graph, seeds, ones, off, Action.AGGRESSIVE)
+        cons_law, agg_law = ((t.nodes, t.off_cdf) for t in (
+            _injection_table(graph, seeds, _OFF, Action.CONSERVATIVE),
+            _injection_table(graph, seeds, _OFF, Action.AGGRESSIVE)))
         cons = offset[actions == Action.CONSERVATIVE]
         agg = offset[actions == Action.AGGRESSIVE]
         rows = len(agg_law[0])

@@ -15,9 +15,8 @@ from collections import deque
 
 import numpy as np
 
-from .deformation import DeformationSpec, conductance
+from .deformation import DeformationSpec, conductance, segment_sums
 from .errors import ProtocolError
-from .graph_env import segment_sums
 from .harm_memory import HarmFields
 from .rng import categorical
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -105,30 +106,45 @@ class PhaseSeries:
         if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
             raise ValueError("a phase's per-step series must be nonempty and equally long")
         for name, (what, ok) in _SERIES_TYPES.items():
-            if not all(map(ok, getattr(series, name))):
+            if not ok(getattr(series, name)):
                 raise ValueError(f"a phase's {name} series must hold {what}")
         return series
 
 
-def _is_int(v) -> bool:
-    return type(v) is int
+def _ints(v) -> bool:
+    # exact types: a bool or a float is not an integer here
+    return set(map(type, v)) <= {int}
 
 
-def _is_real(v) -> bool:
-    return type(v) is int or type(v) is float and math.isfinite(v)
+def _reals(v) -> bool:
+    types = set(map(type, v))
+    if not types <= {int, float}:
+        return False
+    try:
+        return float not in types or all(map(math.isfinite, v))
+    except OverflowError:       # an int too large for a float is still real
+        return all(map(math.isfinite, [x for x in v if type(x) is float]))
 
 
-def _reals(n: int):
-    return lambda v: len(v) == n and all(map(_is_real, v))
+def _real_rows(n: int):
+    def ok(rows) -> bool:
+        try:
+            sized = set(map(len, rows)) <= {n}
+        except TypeError:
+            # a row without a length: check row by row, as the rows before
+            # it decide whether the record is rejected or mistyped
+            return all(len(r) == n and _reals(r) for r in rows)
+        return sized and _reals(list(chain.from_iterable(rows)))
+    return ok
 
 
 _SERIES_TYPES = {
-    "reach": ("integers", _is_int), "sens": ("integers", _is_int),
-    "actions": ("integers", _is_int), "radius": ("integers", _is_int),
-    "rewards": ("finite numbers", _is_real),
-    "g_sum": ("finite numbers", _is_real), "h_sum": ("finite numbers", _is_real),
-    "odds": ("4-tuples of finite numbers", _reals(4)),
-    "action_dists": ("3-lists of finite numbers", _reals(3)),
+    "reach": ("integers", _ints), "sens": ("integers", _ints),
+    "actions": ("integers", _ints), "radius": ("integers", _ints),
+    "rewards": ("finite numbers", _reals),
+    "g_sum": ("finite numbers", _reals), "h_sum": ("finite numbers", _reals),
+    "odds": ("4-tuples of finite numbers", _real_rows(4)),
+    "action_dists": ("3-lists of finite numbers", _real_rows(3)),
 }
 
 

@@ -61,7 +61,8 @@ def test_rsd_eval_runs_one_episode(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     main(["gen-graph", "--config", cfg, "--seed", "1", "--out", str(gpath)])
     ckpt = tmp_path / "p.json"
-    ckpt.write_text(Policy(kind="scripted", scripted_action=1).to_json())
+    ckpt.write_text(Policy(kind="scripted", feature_mode="augmented",
+                           scripted_action=1).to_json())
     out = tmp_path / "rec.jsonl"
     args = ["rsd-eval", "--graph", str(gpath), "--checkpoint", str(ckpt),
             "--config", cfg, "--z", "2", "--episode-seed", "9",
@@ -72,6 +73,28 @@ def test_rsd_eval_runs_one_episode(tmp_path, capsys):
     assert "rag=" in capsys.readouterr().out
     assert main(args + ["--method", "telepathy"]) == 2
     assert "telepathy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy,method", [
+    (Policy(kind="scripted", scripted_action=1), "rapo"),
+    (Policy(kind="softmax", feature_mode="augmented"), "ge"),
+    (Policy(kind="softmax"), "pm_window"),
+    (Policy(kind="window", window=50), "ge"),
+    (Policy(kind="window", window=10), "pm_window"),
+], ids=["obs-under-rapo", "augmented-under-ge", "softmax-under-window",
+        "window-under-ge", "window-10-under-50"])
+def test_rsd_eval_rejects_checkpoint_of_another_method(tmp_path, capsys,
+                                                       policy, method):
+    # a checkpoint that the suite could not have run under --method
+    gpath, ckpt = tmp_path / "g.json", tmp_path / "p.json"
+    gpath.write_text(_graph_json())
+    ckpt.write_text(policy.to_json())
+    rc = main(["rsd-eval", "--graph", str(gpath), "--checkpoint", str(ckpt),
+               "--method", method, "--out", str(tmp_path / "rec.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2 and str(ckpt) in err
+    assert repr(method) in err and repr(policy.feature_mode) in err
+    assert not (tmp_path / "rec.jsonl").exists()
 
 
 @pytest.mark.parametrize("rng_mode", ["independent", "paired"])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replaylab.deformation import (DeformationSpec, apply_mode, conductance,
-                                   gate_edge_prob, reweight_categorical)
+                                   gate_edge_prob, reweight_categorical,
+                                   reweight_rows)
 from replaylab.harm_memory import FieldParams, HarmFields
 
 
@@ -57,6 +58,28 @@ def test_reweight_mass_preserving_property(m, seed):
     out = reweight_categorical(nominal, psi)
     assert abs(out.sum() - 1.0) <= 1e-12
     assert np.all(out >= 0)
+
+
+def test_reweight_rows_equal_the_one_row_formula():
+    # each padded row, and the one-row reweighting, give w / w.sum() over
+    # the row's own entries bit for bit, also past 8-wide sums
+    rng = np.random.default_rng(5)
+    for width in range(1, 14):
+        sizes = rng.integers(1, width + 1, size=6)
+        sizes[0] = width
+        own = np.arange(width) < sizes[:, None]
+        nominal, psi = np.zeros((6, width)), np.ones((6, width))
+        for j, size in enumerate(sizes):
+            nominal[j, :size] = rng.dirichlet(np.ones(size))
+            psi[j, :size] = rng.uniform(0.01, 1.0, size)
+        out = reweight_rows(nominal, psi, sizes, own)
+        assert np.all(out[~own] == 0.0)
+        for j, size in enumerate(sizes):
+            w = nominal[j, :size] * psi[j, :size]
+            assert np.array_equal(out[j, :size], w / w.sum())
+            if abs(nominal[j, :size].sum() - 1.0) <= 1e-12:
+                assert np.array_equal(reweight_categorical(
+                    nominal[j, :size], psi[j, :size]), w / w.sum())
 
 
 def test_mode_degeneracies():

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from replaylab.deformation import DeformationSpec
-from replaylab.graph_env import (Action, DiffusionGraph, EnvParams, env_step,
-                                 generate_graph, initial_state,
+from replaylab.config import desk_preset, load_config
+from replaylab.deformation import DeformationSpec, apply_mode
+from replaylab.graph_env import (Action, DiffusionGraph, EnvParams, _copies,
+                                 _injection_table, _stimulus_law,
+                                 edge_gate_mask, env_step, generate_graph,
+                                 initial_state, stimulus_rows,
                                  stimulus_seed_set)
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
@@ -274,3 +277,126 @@ def test_reward_modes():
     assert lin.reward == pytest.approx(new / 50 - 0.001, abs=1e-12)
     assert log.reward == pytest.approx(
         (np.log1p(new) - np.log1p(0)) / np.log1p(50) - 0.001, abs=1e-12)
+
+
+def _row_by_row_law(graph, seeds, psi, deform, action):
+    # the injection law one row at a time: apply_mode, cumsum, c / c[-1]
+    if action == Action.CONSERVATIVE:
+        rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
+    else:
+        rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
+                if d.size]
+    nodes = np.zeros((len(rows), max((d.size for d, _ in rows), default=0)),
+                     dtype=np.int64)
+    cdf = np.full(nodes.shape, 2.0)
+    for j, (d, nominal) in enumerate(rows):
+        c = np.cumsum(apply_mode(nominal, psi[d], deform, regions=d))
+        nodes[j, :d.size] = d
+        cdf[j, :d.size] = c / c[-1]
+    return nodes, cdf
+
+
+def _wide_graph():
+    # node 0 has 12 out-edges and node 4 has 9, so padded rows reach past
+    # numpy's 8-wide pairwise-sum blocks; p has ties for top-k; the
+    # sensitive nodes 16-18 have no out-edges
+    out = {0: dict(zip(range(1, 13), [0.3, 0.5, 0.5, 0.2, 0.5, 0.1, 0.4,
+                                      0.4, 0.05, 0.3, 0.2, 0.6])),
+           1: dict(zip(range(2, 7), [0.2, 0.2, 0.7, 0.1, 0.3])),
+           2: {0: 0.5, 19: 0.5}, 3: {4: 0.9},
+           4: dict(zip(range(5, 14), [0.15, 0.35, 0.15, 0.8, 0.25, 0.35,
+                                      0.6, 0.15, 0.45]))}
+    for u in [*range(5, 16), 19]:
+        out[u] = {(u + 1) % 20: 0.3, (u + 3) % 20: 0.6}
+    edges = [{"u": u, "v": v, "p": p} for u in sorted(out)
+             for v, p in sorted(out[u].items())]
+    return DiffusionGraph.from_json(json.dumps({
+        "nodes": 20, "edges": edges, "sensitive": [16, 17, 18], "seed": 0,
+        "branching_target": 1.0}))
+
+
+_DESK = load_config(desk_preset())
+_LAW_SPECS = [DeformationSpec(mode="full"), DeformationSpec(mode="off"),
+              DeformationSpec(mode="topk", k=1), DeformationSpec(mode="topk", k=2),
+              DeformationSpec(mode="local",
+                              local_regions=frozenset(range(1, 40, 3)))]
+
+
+@pytest.mark.parametrize("spec", _LAW_SPECS,
+                         ids=["full", "off", "topk1", "topk2", "local"])
+@pytest.mark.parametrize("action", [Action.AGGRESSIVE, Action.CONSERVATIVE],
+                         ids=["aggressive", "conservative"])
+def test_stimulus_law_equals_row_by_row(spec, action):
+    desk = _DESK.graph(1)
+    wide = _wide_graph()
+    assert np.diff(wide.out_ptr).max() >= 9
+    cases = [(desk, stimulus_seed_set(z, desk, _DESK.env_params.k_seed,
+                                      _DESK.env_params.seed_pool))
+             for z in range(1, 21)]
+    cases += [(wide, np.array(s, dtype=np.int64)) for s in
+              ([0, 1, 2, 3], [1, 4], [0], [3, 16], [2, 17], [16, 17, 18])]
+    rng = np.random.default_rng(8)
+    for graph, seeds in cases:
+        for draw in range(5):
+            psi = rng.uniform(0.01, 1.0, graph.node_count)
+            psi[rng.random(graph.node_count) < 0.2] = 1.0
+            psi[rng.random(graph.node_count) < 0.1] = 0.01
+            nodes, cdf = _stimulus_law(graph, seeds, psi, spec, action)
+            want_nodes, want_cdf = _row_by_row_law(graph, seeds, psi, spec,
+                                                   action)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(cdf, want_cdf)
+    # the Aggressive law of seeds without out-edges is empty
+    empty = _stimulus_law(wide, np.array([16, 17, 18]), np.ones(20), spec,
+                          Action.AGGRESSIVE)
+    assert empty[0].shape == empty[1].shape == (0, 0)
+
+
+def test_stimulus_law_checks_psi_on_every_call():
+    g = _wide_graph()
+    seeds = np.array([0, 1])
+    psi = np.ones(20)
+    _stimulus_law(g, seeds, psi, DeformationSpec(), Action.AGGRESSIVE)
+    psi[3] = 1.5
+    with pytest.raises(ValueError, match=r"psi entries must lie in \(0, 1\]"):
+        _stimulus_law(g, seeds, psi, DeformationSpec(), Action.AGGRESSIVE)
+    # an entry the mode does not gate is not checked, as in apply_mode
+    topk = DeformationSpec(mode="topk", k=1)
+    _stimulus_law(g, seeds, psi, topk, Action.AGGRESSIVE)
+
+
+@pytest.mark.parametrize("action,uniforms", [(Action.AGGRESSIVE, 0),
+                                             (Action.CONSERVATIVE, 1)])
+def test_seeds_without_out_edges_draw_only_their_picks(action, uniforms):
+    # seeds 16-18 have no out-edges: Aggressive injects them and draws
+    # nothing; Conservative draws its one pick
+    g = _wide_graph()
+    params = EnvParams(k_seed=3, seed_pool="sensitive")
+    assert stimulus_seed_set(1, g, 3, "sensitive").tolist() == [16, 17, 18]
+    fields = HarmFields(G=np.full(20, 0.5), H=np.full(20, 0.2),
+                        params=FieldParams())
+    for deform in (OFF, DeformationSpec(mode="full")):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        res = env_step(initial_state(g, 1, 50), action, g, fields, deform,
+                       rng, params)
+        ref.random(uniforms)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert set(np.flatnonzero(res.state.active)) <= {16, 17, 18}
+
+
+def test_graph_caches_hand_out_read_only_arrays():
+    g = generate_graph(50, 1.1, seed=1)
+    params = EnvParams()
+    seeds = stimulus_seed_set(1, g)
+    arrays = [seeds, g.hop_distance_from(seeds),
+              edge_gate_mask(g, DeformationSpec(mode="topk")),
+              *_copies(g, 2), *stimulus_rows(g, (1, 2), params)]
+    for action in (Action.AGGRESSIVE, Action.CONSERVATIVE):
+        table = _injection_table(g, seeds, DeformationSpec(mode="topk"), action)
+        arrays += [a for a in table if isinstance(a, np.ndarray)]
+    for a in arrays:
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1] + 1
+        assert np.array_equal(a, before)
+    assert stimulus_seed_set(1, g) is seeds

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,9 @@ from replaylab.errors import ProtocolError
 from replaylab.graph_env import EnvParams, frontier_mask, generate_graph
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.policies import Policy
-from replaylab.rsd import (RsdConfig, RsdEpisodeRecord, run_rsd_episode,
-                           run_rsd_episodes, scar_evolution)
+from replaylab import rsd
+from replaylab.rsd import (PhaseSeries, RsdConfig, RsdEpisodeRecord,
+                           run_rsd_episode, run_rsd_episodes, scar_evolution)
 
 GRAPH = generate_graph(50, 1.5, seed=1)
 ARC_GRAPH = generate_graph(50, 3.0, seed=1, locality=1.0, sens_style="arc",
@@ -336,3 +338,77 @@ def test_record_schema_version():
     for bad in (2, "1", True, None):
         with pytest.raises(ValueError, match="schema"):
             RsdEpisodeRecord.from_dict({**d, "schema": bad})
+
+
+def _elementwise_series_types():
+    # the record type rules as per-element predicates, one call per number
+    def is_int(v):
+        return type(v) is int
+
+    def is_real(v):
+        return type(v) is int or type(v) is float and math.isfinite(v)
+
+    def rows(n):
+        return lambda v: len(v) == n and all(map(is_real, v))
+
+    def each(ok):
+        return lambda series: all(map(ok, series))
+
+    return {name: (what, each({"integers": is_int,
+                               "finite numbers": is_real}.get(what) or
+                              rows(4 if name == "odds" else 3)))
+            for name, (what, _) in rsd._SERIES_TYPES.items()}
+
+
+_ODD_VALUES = [0, -3, 2 ** 63, 10 ** 400, -(10 ** 400), 1.5, -0.0, 1e308,
+               float("nan"), float("inf"), -float("inf"), True, False, "1",
+               None, [1], {}, np.float64(0.5), np.int64(2)]
+
+
+def _fuzzed_series(rng, steps=6):
+    d = {"reach": [3] * steps, "sens": [1] * steps, "actions": [0] * steps,
+         "radius": [2] * steps, "rewards": [0.25] * steps,
+         "g_sum": [1] * steps, "h_sum": [0.5] * steps,
+         "odds": [[0.1, 0.9, 0, 1.0]] * steps,
+         "action_dists": [[0.2, 0.3, 0.5]] * steps,
+         "scar_top": [[]] * steps, "traj_hash": "x"}
+    d = json.loads(json.dumps(d))
+    for _ in range(int(rng.integers(0, 4))):
+        name = list(rsd._SERIES_TYPES)[int(rng.integers(9))]
+        odd = _ODD_VALUES[int(rng.integers(len(_ODD_VALUES)))]
+        i = int(rng.integers(steps))
+        row = d[name][i]
+        if type(row) is list and row and rng.random() < 0.7:
+            if rng.random() < 0.2:
+                row.pop()
+            else:
+                row[int(rng.integers(len(row)))] = odd
+        elif name in ("odds", "action_dists") and rng.random() < 0.5:
+            d[name][i] = [None, "ab", {"a": 1, "b": 2, "c": 3}, 7][
+                int(rng.integers(4))]
+        else:
+            d[name][i] = odd
+    return d
+
+
+def _outcome(d):
+    try:
+        PhaseSeries.from_dict(d)
+        return "accepted"
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_series_type_checks_match_elementwise_predicates(monkeypatch):
+    # fuzzed phase series are accepted or rejected, with the same error,
+    # exactly as the one-call-per-number predicates decide
+    rng = np.random.default_rng(11)
+    cases = [_fuzzed_series(rng) for _ in range(3000)]
+    cases += [{**_fuzzed_series(rng), "rewards": v} for v in (
+        [10 ** 400, float("nan")] * 3, [float("nan"), 10 ** 400] * 3,
+        [10 ** 400, 1.0] * 3, [1, 2.5, -(10 ** 400)] * 2)]
+    fast = [_outcome(d) for d in cases]
+    monkeypatch.setattr(rsd, "_SERIES_TYPES", _elementwise_series_types())
+    assert [_outcome(d) for d in cases] == fast
+    assert 500 < fast.count("accepted") < 2500
+    assert len(set(fast)) > 10
