@@ -164,9 +164,8 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
     tr_cfg = cfg.section("training")
     env_params = cfg.env_params
     deform = cfg.deform(mcfg.train_deform_mode, graph)
-    policy = Policy(kind="window" if mcfg.window > 1 else "softmax",
-                    feature_mode=mcfg.feature_mode, window=mcfg.window,
-                    seed=tr_cfg["seed"])
+    policy = Policy(kind=mcfg.policy_kind, feature_mode=mcfg.feature_mode,
+                    window=mcfg.window, seed=tr_cfg["seed"])
     trainer = TrainerState(policy=policy, lr=tr_cfg["lr"],
                            gamma=tr_cfg["gamma"], clip=tr_cfg["clip"],
                            gae_lambda=tr_cfg["gae_lambda"],
@@ -293,12 +292,9 @@ def run_episode_batch(cfg: RunConfig, mcfg: MethodConfig,
 
 
 def run_method_episodes(cfg: RunConfig, mcfg: MethodConfig,
-                        checkpoint_json: str, graph: DiffusionGraph,
-                        theta_override: float | None = None) -> list:
+                        checkpoint_json: str, graph: DiffusionGraph) -> list:
     """All episodes of one method on one graph, in episode order: one
     batch of them, or with `workers` > 1 one contiguous chunk per worker."""
-    if theta_override is not None and mcfg.shield is not None:
-        mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta_override))
     stimuli = cfg.section("rsd")["stimuli"]
     chunks = [c.tolist() for c in np.array_split(np.arange(cfg["episodes"]),
                                                  cfg["workers"]) if c.size]
@@ -347,20 +343,20 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     for method in sorted(set(_report_methods(cfg)), key=KNOWN_METHODS.index):
         mcfg = method_config(method, shield=cfg.shield_params)
         outcome = outcomes[method] = MethodOutcome(method=method)
-        theta_override = None
         if method == "shield_um":
             if "rapo" not in outcomes:
                 raise ProtocolError(
                     "shield_um requires a completed rapo run for its target")
             target = float(np.mean([replay_return(r, ge_reference[r.graph_seed])
                                     for r in outcomes["rapo"].records]))
-            theta_override = _tune_um_threshold(
-                cfg, mcfg, checkpoints, graphs[0],
-                ge_reference[graphs[0].seed], target, outcome)
+            theta = _tune_um_threshold(cfg, mcfg, checkpoints, graphs[0],
+                                       ge_reference[graphs[0].seed], target,
+                                       outcome)
+            mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta))
         for graph in graphs:
             outcome.checkpoint_json = _checkpoint(mcfg, graph, cfg, checkpoints)
             records = run_method_episodes(cfg, mcfg, outcome.checkpoint_json,
-                                          graph, theta_override)
+                                          graph)
             outcome.records += records
             _write_records(out_dir, cfg["run_id"], method, graph.seed, records)
         if method == "ge":
@@ -400,7 +396,8 @@ def _tune_um_threshold(cfg: RunConfig, mcfg: MethodConfig, checkpoints: dict,
     steps = []
 
     def evaluate(theta):
-        records = run_method_episodes(held_cfg, mcfg, ckpt, graph, theta)
+        tuned = replace(mcfg, shield=replace(mcfg.shield, theta=theta))
+        records = run_method_episodes(held_cfg, tuned, ckpt, graph)
         achieved = float(np.mean([
             discounted_return(r.phases["replay"].rewards, gamma) / ge_ref
             for r in records]))

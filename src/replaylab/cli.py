@@ -95,10 +95,10 @@ def _checkpoint_for(mcfg):
     mode, and unless scripted its kind and window, are the method's."""
     def parse(text: str) -> str:
         policy = Policy.from_json(text)
-        kind = "window" if mcfg.window > 1 else "softmax"
         if (policy.feature_mode != mcfg.feature_mode
                 or policy.kind != "scripted"
-                and (policy.kind, policy.window) != (kind, mcfg.window)):
+                and (policy.kind, policy.window) != (mcfg.policy_kind,
+                                                     mcfg.window)):
             raise ValueError(
                 f"a {policy.kind} checkpoint with feature_mode "
                 f"{policy.feature_mode!r} and window {policy.window} does not "

@@ -113,6 +113,11 @@ class MethodConfig:
     shield: ShieldParams | None = None
     shares_checkpoint_with: str | None = None
 
+    @property
+    def policy_kind(self) -> str:
+        """The kind of policy the method trains and evaluates."""
+        return "window" if self.window > 1 else "softmax"
+
 
 _RAPO = MethodConfig(method="rapo", train_deform_mode="full",
                      eval_deform_mode="full", feature_mode="augmented",
@@ -236,10 +241,9 @@ class RunConfig:
         their undirected neighbours."""
         if mode != "local":
             return self.base_deform.with_mode(mode)
-        hood = set(graph.sensitive_nodes.tolist())
-        for s in graph.sensitive_nodes:
-            hood.update(graph._und_adj[int(s)])
-        return self.base_deform.with_mode("local", local_regions=frozenset(hood))
+        sens = graph.sensitive_nodes
+        hood = frozenset([*sens.tolist(), *graph.neighbours(sens).tolist()])
+        return self.base_deform.with_mode("local", local_regions=hood)
 
 
 def config_hash(obj: dict) -> str:

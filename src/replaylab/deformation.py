@@ -129,16 +129,22 @@ def gate_edge_prob(p_uv, psi_v):
 
 
 def gated_entries(nominal: np.ndarray, spec: DeformationSpec,
-                  regions=None) -> np.ndarray:
-    """Mask of the entries of one categorical that the spec's mode gates:
-    all under full, none under off, the k most probable nominal entries
-    under topk (ties broken by ascending index), and under local those
-    whose region (from `regions`) lies in spec.local_regions."""
+                  regions=None, sizes=None) -> np.ndarray:
+    """Mask of the entries of categoricals that the spec's mode gates: all
+    under full, none under off, each categorical's k most probable nominal
+    entries under topk (ties broken by ascending index), and under local
+    those whose region (from `regions`) lies in spec.local_regions.
+    `nominal` holds one categorical, or several laid end to end with
+    `sizes[j]` entries in the j-th."""
     if spec.mode == "topk":
-        # stable sort on (-prob, index) so ties break by ascending index
-        order = np.lexsort((np.arange(nominal.size), -nominal))
+        sizes = np.array([nominal.size] if sizes is None else sizes)
+        row = np.repeat(np.arange(sizes.size), sizes)
+        # sort on (row, -prob, index) so ties break by ascending index; an
+        # entry's rank is its place past its row's start
+        order = np.lexsort((np.arange(nominal.size), -nominal, row))
+        rank = np.arange(nominal.size) - (np.cumsum(sizes) - sizes)[row]
         mask = np.zeros(nominal.shape, dtype=bool)
-        mask[order[:spec.k]] = True
+        mask[order[rank < spec.k]] = True
         return mask
     if spec.mode == "local":
         if regions is None:

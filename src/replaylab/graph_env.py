@@ -97,24 +97,12 @@ class DiffusionGraph:
     branching_target: float
     locality: float = 0.0
     out_ptr: np.ndarray = None      # CSR offsets per source node
-    _und_adj: list = field(default=None, repr=False)
-    _hop_cache: dict = field(default_factory=dict, repr=False)
-    _seed_cache: dict = field(default_factory=dict, repr=False)
-    _gate_mask_cache: dict = field(default_factory=dict, repr=False)
-    _copies_cache: dict = field(default_factory=dict, repr=False)
-    _stimulus_rows_cache: dict = field(default_factory=dict, repr=False)
-    _injection_cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)  # see `_memo`
 
     def __post_init__(self):
         if self.out_ptr is None:
             counts = np.bincount(self.edge_src, minlength=self.node_count)
             self.out_ptr = np.concatenate(([0], np.cumsum(counts)))
-        if self._und_adj is None:
-            adj = [[] for _ in range(self.node_count)]
-            for u, v in zip(self.edge_src, self.edge_dst):
-                adj[int(u)].append(int(v))
-                adj[int(v)].append(int(u))
-            self._und_adj = [sorted(set(a)) for a in adj]
 
     @property
     def sensitive_nodes(self) -> np.ndarray:
@@ -124,23 +112,39 @@ class DiffusionGraph:
         lo, hi = self.out_ptr[u], self.out_ptr[u + 1]
         return self.edge_dst[lo:hi], self.edge_p[lo:hi]
 
+    def neighbours(self, nodes) -> np.ndarray:
+        """The nodes adjacent in the undirected sense to `nodes` (one node
+        or several), sorted, without repeats."""
+        def rows():
+            # the undirected adjacency as CSR rows laid end to end: each
+            # edge once per direction, sorted by (owner, neighbour)
+            n = self.node_count
+            ends = np.sort(np.concatenate([self.edge_src * n + self.edge_dst,
+                                           self.edge_dst * n + self.edge_src]))
+            ends = ends[np.diff(ends, prepend=-1) > 0]  # drop repeats
+            return ends // n, ends % n
+        owner, nbr = _memo(self, ("undirected",), rows)
+        given = np.zeros(self.node_count, dtype=bool)
+        given[nodes] = True
+        reached = np.zeros_like(given)
+        reached[nbr[given[owner]]] = True
+        return np.flatnonzero(reached)
+
     def hop_distance_from(self, sources) -> np.ndarray:
-        """Undirected BFS hop distances from a source set (-1 unreachable)."""
+        """Undirected BFS hop distances from a source set (-1 unreachable),
+        a level at a time: the unreached neighbours of the last level."""
         key = tuple(sorted(int(s) for s in sources))
-        if key not in self._hop_cache:
+
+        def bfs():
             dist = np.full(self.node_count, -1, dtype=int)
-            q = deque()
-            for s in key:
-                dist[s] = 0
-                q.append(s)
-            while q:
-                u = q.popleft()
-                for v in self._und_adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        q.append(v)
-            self._hop_cache[key] = _read_only(dist)
-        return self._hop_cache[key]
+            front, level = np.array(key, dtype=np.int64), 0
+            while front.size:
+                dist[front] = level
+                level += 1
+                front = self.neighbours(front)
+                front = front[dist[front] < 0]
+            return dist
+        return _memo(self, ("hop", key), bfs)
 
     def to_json(self) -> str:
         obj = {
@@ -185,34 +189,18 @@ class DiffusionGraph:
                    branching_target=target, locality=locality)
 
 
-def _read_only(*arrays):
-    """Mark arrays that a graph caches read-only, so that no caller can
-    change the graph's law by writing into them; returns the array, or
-    the tuple of them."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays if len(arrays) > 1 else arrays[0]
-
-
-def _grow_connected_set(adj, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Grow a connected node set of the requested size by randomized BFS."""
-    n = len(adj)
-    start = int(rng.integers(n))
-    chosen = {start}
-    frontier = set(adj[start]) - chosen
-    while len(chosen) < size:
-        if not frontier:
-            warnings.warn(
-                "connected growth exhausted; sensitive set smaller than requested",
-                RuntimeWarning,
-            )
-            break
-        cand = sorted(frontier)
-        v = cand[int(rng.integers(len(cand)))]
-        chosen.add(v)
-        frontier |= set(adj[v])
-        frontier -= chosen
-    return np.array(sorted(chosen), dtype=np.int64)
+def _memo(graph: DiffusionGraph, key: tuple, build):
+    """The graph's memo entry `key`, made by `build()` on first use. Every
+    array in an entry is marked read-only, so that no caller can change
+    the graph's law by writing into what it is handed."""
+    entry = graph._memo.get(key)
+    if entry is None:
+        entry = build()
+        for a in entry if isinstance(entry, tuple) else (entry,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        graph._memo[key] = entry
+    return entry
 
 
 def select_sensitive_subgraph(graph: DiffusionGraph, fraction: float, seed: int,
@@ -226,12 +214,29 @@ def select_sensitive_subgraph(graph: DiffusionGraph, fraction: float, seed: int,
     if not (0.15 <= fraction <= 0.25):
         raise ValueError("sensitive fraction must lie in [0.15, 0.25]")
     size = int(round(fraction * graph.node_count))
+    rng = substream(seed, 2)
+    start = int(rng.integers(graph.node_count))
     if style == "arc":
-        start = int(substream(seed, 2).integers(graph.node_count))
         return np.sort(np.arange(start, start + size) % graph.node_count)
     if style != "grow":
         raise ValueError("sensitive style must be 'grow' or 'arc'")
-    return _grow_connected_set(graph._und_adj, size, substream(seed, 2))
+    # add one uniformly drawn neighbour of the set at a time
+    chosen = np.zeros(graph.node_count, dtype=bool)
+    reached = chosen.copy()
+    chosen[start] = True
+    reached[graph.neighbours(start)] = True
+    for _ in range(size - 1):
+        cand = np.flatnonzero(reached & ~chosen)
+        if not cand.size:
+            warnings.warn(
+                "connected growth exhausted; sensitive set smaller than requested",
+                RuntimeWarning,
+            )
+            break
+        v = cand[int(rng.integers(cand.size))]
+        chosen[v] = True
+        reached[graph.neighbours(v)] = True
+    return np.flatnonzero(chosen)
 
 
 def check_graph_args(node_count: int, branching_target: float, *,
@@ -310,25 +315,23 @@ def stimulus_seed_set(z: int, graph: DiffusionGraph, k_seed: int = 3,
     """Deterministic seed node set for stimulus identity z on this graph."""
     if not (1 <= z <= N_STIMULI):
         raise ValueError(f"stimulus identity must lie in 1..{N_STIMULI}")
-    key = (z, k_seed, pool)
-    if key not in graph._seed_cache:
+
+    def build():
         rng = substream(graph.seed, 3, z)
         if pool == "sensitive":
             candidates = graph.sensitive_nodes
         elif pool == "core":
             # sensitive nodes all of whose neighbors are also sensitive
-            candidates = np.array(
-                [s for s in graph.sensitive_nodes
-                 if all(graph.sensitive[v] for v in graph._und_adj[int(s)])],
-                dtype=np.int64)
+            sens = graph.sensitive_nodes
+            candidates = sens[~np.isin(sens, graph.neighbours(
+                np.flatnonzero(~graph.sensitive)))]
             if candidates.size == 0:
                 candidates = graph.sensitive_nodes
         else:
             candidates = np.arange(graph.node_count)
         k = min(k_seed, candidates.size)
-        picked = rng.choice(candidates, size=k, replace=False)
-        graph._seed_cache[key] = _read_only(np.sort(picked))
-    return graph._seed_cache[key]
+        return np.sort(rng.choice(candidates, size=k, replace=False))
+    return _memo(graph, ("seeds", z, k_seed, pool), build)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +429,11 @@ def initial_state(graph: DiffusionGraph, z: int, delay: int,
 def _copies(graph: DiffusionGraph, b: int):
     """Flat (src, dst, p) edge arrays of b copies of the graph: edge e of
     copy c is entry c*E + e, from node c*N + edge_src[e]."""
-    if b not in graph._copies_cache:
+    def build():
         offset = np.arange(b)[:, None] * graph.node_count
-        graph._copies_cache[b] = _read_only((graph.edge_src + offset).ravel(),
-                                            (graph.edge_dst + offset).ravel(),
-                                            np.tile(graph.edge_p, b))
-    return graph._copies_cache[b]
+        return ((graph.edge_src + offset).ravel(),
+                (graph.edge_dst + offset).ravel(), np.tile(graph.edge_p, b))
+    return _memo(graph, ("copies", b), build)
 
 
 def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
@@ -439,15 +441,14 @@ def stimulus_rows(graph: DiffusionGraph, stimuli, params: EnvParams):
     from each copy's seed set (-1 unreachable), and the seed sets as flat
     node indices b*N + s [B, k]. Cached per stimuli, as every step reads
     them twice (observation and injection)."""
-    key = (tuple(stimuli), params.k_seed, params.seed_pool)
-    if key not in graph._stimulus_rows_cache:
+    def build():
         seeds = [stimulus_seed_set(z, graph, params.k_seed, params.seed_pool)
                  for z in stimuli]
         offset = np.arange(len(seeds))[:, None] * graph.node_count
-        graph._stimulus_rows_cache[key] = _read_only(
-            np.stack([graph.hop_distance_from(s) for s in seeds]),
-            np.stack(seeds) + offset)
-    return graph._stimulus_rows_cache[key]
+        return (np.stack([graph.hop_distance_from(s) for s in seeds]),
+                np.stack(seeds) + offset)
+    return _memo(graph, ("stimulus_rows", tuple(stimuli), params.k_seed,
+                         params.seed_pool), build)
 
 
 def observe(state: EnvState, graph: DiffusionGraph, t_phase: int,
@@ -480,27 +481,11 @@ def observe_batch(batch: EnvBatch, graph: DiffusionGraph, t_phase: int,
 
 
 def edge_gate_mask(graph: DiffusionGraph, spec: DeformationSpec) -> np.ndarray:
-    """Boolean per-edge mask of edges subject to conductance gating."""
-    key = (spec.mode, spec.k, spec.local_regions)
-    if key not in graph._gate_mask_cache:
-        e = graph.edge_src.size
-        if spec.mode == "off":
-            mask = np.zeros(e, dtype=bool)
-        elif spec.mode == "full":
-            mask = np.ones(e, dtype=bool)
-        elif spec.mode == "local":
-            mask = np.isin(graph.edge_dst, list(spec.local_regions))
-        else:  # topk: each source's k most probable out-edges, ties by dst index
-            mask = np.zeros(e, dtype=bool)
-            for u in range(graph.node_count):
-                lo, hi = graph.out_ptr[u], graph.out_ptr[u + 1]
-                if hi <= lo:
-                    continue
-                pe = graph.edge_p[lo:hi]
-                order = np.lexsort((np.arange(pe.size), -pe))
-                mask[lo + order[: spec.k]] = True
-        graph._gate_mask_cache[key] = _read_only(mask)
-    return graph._gate_mask_cache[key]
+    """Boolean per-edge mask of edges subject to conductance gating: the
+    mode's `gated_entries` of each source's out-edge probabilities."""
+    return _memo(graph, ("gate", spec.mode, spec.k, spec.local_regions),
+                 lambda: gated_entries(graph.edge_p, spec, graph.edge_dst,
+                                       np.diff(graph.out_ptr)))
 
 
 @dataclass
@@ -586,34 +571,30 @@ def _injection_table(graph: DiffusionGraph, seeds: np.ndarray,
     (nominally uniform), Aggressive one out-neighbour per seed with
     out-edges (nominally by edge_p). Built and checked once per (seeds,
     action, deployment mode) and cached on the graph."""
-    key = (tuple(seeds.tolist()), int(action), deform.mode, deform.k,
-           deform.local_regions)
-    table = graph._injection_cache.get(key)
-    if table is None:
+    def build():
         if action == Action.CONSERVATIVE:
             rows = [(seeds, np.full(seeds.size, 1.0 / seeds.size))]
         else:
-            rows = [(d, pe / pe.sum()) for d, pe in map(graph.out_edges_of, seeds)
-                    if d.size]
+            rows = [(d, pe / pe.sum())
+                    for d, pe in map(graph.out_edges_of, seeds) if d.size]
         sizes = np.array([d.size for d, _ in rows], dtype=np.int64)
         shape = (len(rows), sizes.max(initial=0))
         nodes = np.zeros(shape, dtype=np.int64)
         nominal, off_cdf = np.zeros(shape), np.full(shape, 2.0)
-        gated = np.zeros(shape, dtype=bool)
         for j, (d, p) in enumerate(rows):
             check_nominal(p)
             c = np.cumsum(p)
             nodes[j, :d.size], nominal[j, :d.size] = d, p
-            gated[j, :d.size] = gated_entries(p, deform, regions=d)
             off_cdf[j, :d.size] = c / c[-1]
         own = np.arange(shape[1]) < sizes[:, None]
-        _read_only(nodes, nominal, gated, sizes, own, off_cdf)
-        table = _InjectionTable(nodes=nodes, nominal=nominal,
-                                gated=None if gated.all() else gated,
-                                sizes=sizes, own=None if own.all() else own,
-                                off_cdf=off_cdf)
-        graph._injection_cache[key] = table
-    return table
+        gated = np.zeros(shape, dtype=bool)
+        gated[own] = gated_entries(nominal[own], deform, nodes[own], sizes)
+        return _InjectionTable(nodes=nodes, nominal=nominal,
+                               gated=None if gated.all() else gated,
+                               sizes=sizes, own=None if own.all() else own,
+                               off_cdf=off_cdf)
+    return _memo(graph, ("injection", tuple(seeds.tolist()), int(action),
+                         deform.mode, deform.k, deform.local_regions), build)
 
 
 def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,

@@ -52,12 +52,21 @@ class HarmFields:
     def copy(self) -> "HarmFields":
         return HarmFields(G=self.G.copy(), H=self.H.copy(), params=self.params)
 
+    def top_scars(self):
+        """The 10 largest H values along the regions axis (per copy for B
+        copies): their regions, by stable argsort of -H, the values, and
+        how many are positive. The values descend, so the scars come first."""
+        top = np.argsort(-self.H, axis=-1, kind="stable")[..., :10]
+        values = np.take_along_axis(self.H, top, axis=-1)
+        return top, values, (values > 0).sum(axis=-1)
+
     def summary(self) -> dict:
-        top = np.argsort(-self.H, kind="stable")[:10]
+        top, values, count = self.top_scars()
+        scars = zip(top[:count].tolist(), values[:count].tolist())
         return {
             "g_sum": float(self.G.sum()),
             "h_sum": float(self.H.sum()),
-            "top_scar_regions": [[int(r), float(self.H[r])] for r in top if self.H[r] > 0],
+            "top_scar_regions": [[r, v] for r, v in scars],
         }
 
 

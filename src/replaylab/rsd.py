@@ -273,14 +273,12 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
         step, fields, actions, dists, _ = agent_step(
             batch, policies, graph, fields, deform, rngs, steps, env_params)
         batch = step.batch
-        h = fields.H
-        top = np.argsort(-h, axis=1, kind="stable")[:, :10]
         hist.append((batch.active, step.reward, actions, dists, step.odds,
                      np.where(batch.newly & seen, hops, 0).max(axis=1),
-                     fields.G.sum(axis=1), h.sum(axis=1), top,
-                     np.take_along_axis(h, top, axis=1)))
-    active, rewards, actions, dists, odds, radius, g_sum, h_sum, top, top_h = \
-        zip(*hist)
+                     fields.G.sum(axis=1), fields.H.sum(axis=1),
+                     *fields.top_scars()))
+    (active, rewards, actions, dists, odds, radius, g_sum, h_sum, top, top_h,
+     positive) = zip(*hist)
     active = np.stack(active)                       # (T, B, N)
     actions = np.array(actions, dtype=np.uint8)
     cols = {
@@ -293,14 +291,13 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
         "g_sum": np.stack(g_sum),
         "h_sum": np.stack(h_sum),
     }
-    top, top_h = np.stack(top), np.stack(top_h)     # (T, B, 10)
-    positive = (top_h > 0).sum(axis=2)
+    # (T, B, 10) regions and H values, (T, B) counts of positive ones
+    top, top_h, positive = map(np.stack, (top, top_h, positive))
     series = []
     for b in range(len(policies)):
         s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
         s.odds = [tuple(o) for o in s.odds]
         s.action_dists = [d[b] for d in dists]
-        # sorted by descending H, so the positive entries are a prefix
         s.scar_top = [list(zip(rs[:k], vs[:k])) for rs, vs, k in zip(
             top[:, b].tolist(), top_h[:, b].tolist(), positive[:, b].tolist())]
         # the hash of each step's active set bytes, then its action byte

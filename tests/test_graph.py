@@ -1,16 +1,18 @@
 """Graph generation, stimulus sets, and one-step dynamics."""
 
 import json
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
 
 from replaylab.config import desk_preset, load_config
-from replaylab.deformation import DeformationSpec, apply_mode
-from replaylab.graph_env import (Action, DiffusionGraph, EnvParams, _copies,
-                                 _injection_table, _stimulus_law,
-                                 edge_gate_mask, env_step, generate_graph,
-                                 initial_state, stimulus_rows,
+from replaylab.deformation import DeformationSpec, apply_mode, gated_entries
+from replaylab.graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
+                                 _stimulus_law, edge_gate_mask, env_step,
+                                 env_steps, generate_graph, initial_state,
+                                 nominal_rollouts, select_sensitive_subgraph,
                                  stimulus_seed_set)
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
@@ -65,7 +67,7 @@ def test_sensitive_set_size_and_connectivity():
     sens_set = set(int(s) for s in sens)
     while stack:
         u = stack.pop()
-        for v in g._und_adj[u]:
+        for v in g.neighbours(u).tolist():
             if v in sens_set and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -106,6 +108,99 @@ def test_hop_distance_bfs_oracle():
     assert dist[0] == 0 and dist[1] == 1 and dist[2] == 1 and dist[3] == 2
 
 
+def _reference_adjacency(g):
+    # the sorted, deduplicated undirected neighbour lists, built edge by edge
+    adj = [[] for _ in range(g.node_count)]
+    for u, v in zip(g.edge_src, g.edge_dst):
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    return [sorted(set(a)) for a in adj]
+
+
+def _reference_hops(adj, sources):
+    # queue BFS over the reference lists
+    dist = np.full(len(adj), -1, dtype=int)
+    q = deque()
+    for s in sorted(set(int(s) for s in sources)):
+        dist[s] = 0
+        q.append(s)
+    while q:
+        u = q.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+def _isolated_node_graph():
+    # a directed path 0 -> ... -> 9 with chords and a repeated undirected
+    # pair (3 -> 4, 4 -> 3); node 10 has no edges at all
+    edges = [(u, u + 1) for u in range(9)] + [(0, 5), (4, 3), (8, 2)]
+    return DiffusionGraph.from_json(json.dumps({
+        "nodes": 11, "sensitive": [2, 3], "seed": 0, "branching_target": 1.0,
+        "edges": [{"u": u, "v": v, "p": 0.5} for u, v in sorted(edges)]}))
+
+
+@pytest.mark.parametrize("n,seed,locality,style", [
+    (50, 0, 0.0, "grow"), (50, 1, 0.7, "grow"), (50, 2, 1.0, "arc"),
+    (250, 3, 0.7, "grow"), (250, 4, 0.0, "arc"), (1000, 5, 0.7, "grow")])
+def test_neighbours_and_hops_match_reference(n, seed, locality, style):
+    g = generate_graph(n, 1.2, seed, locality=locality, sens_style=style)
+    adj = _reference_adjacency(g)
+    assert [g.neighbours(u).tolist() for u in range(n)] == adj
+    sens = g.sensitive_nodes
+    assert g.neighbours(sens).tolist() == sorted(set().union(
+        *(adj[s] for s in sens)))
+    for sources in ([stimulus_seed_set(z, g) for z in (1, 2, 3)]
+                    + [g.sensitive_nodes, [n - 1], [0, 0, n // 2]]):
+        assert np.array_equal(g.hop_distance_from(sources),
+                              _reference_hops(adj, sources))
+
+
+def test_hops_leave_an_isolated_node_unreached():
+    g = _isolated_node_graph()
+    adj = _reference_adjacency(g)
+    assert [g.neighbours(u).tolist() for u in range(11)] == adj
+    assert g.neighbours(3).tolist() == [2, 4] and g.neighbours(10).size == 0
+    for sources in ([0], [9], [2, 7], [10], []):
+        dist = g.hop_distance_from(sources)
+        assert np.array_equal(dist, _reference_hops(adj, sources))
+    assert g.hop_distance_from([0])[10] == -1
+    assert g.hop_distance_from([10]).tolist() == [-1] * 10 + [0]
+
+
+def _ring_and_pairs_graph():
+    # a 16-node ring plus two separate pairs 16-17 and 18-19
+    edges = [(u, (u + 1) % 16) for u in range(16)] + [(16, 17), (19, 18)]
+    return DiffusionGraph.from_json(json.dumps({
+        "nodes": 20, "sensitive": [0], "seed": 0, "branching_target": 1.0,
+        "edges": [{"u": u, "v": v, "p": 0.5} for u, v in sorted(edges)]}))
+
+
+def test_grow_sensitive_sets_are_pinned():
+    # the randomized growth consumes the RNG exactly as before: these node
+    # sets were recorded from the list-based implementation
+    g = generate_graph(50, 1.1, 3)
+    assert g.sensitive_nodes.tolist() == [0, 1, 7, 10, 15, 29, 35, 38, 41, 42]
+    assert select_sensitive_subgraph(g, 0.15, 4).tolist() == [
+        1, 5, 12, 14, 32, 33, 34, 35]
+    g = generate_graph(250, 1.1, 7, locality=0.7)
+    assert select_sensitive_subgraph(g, 0.15, 8).tolist() == [
+        0, 3, 8, 10, 11, 12, 13, 15, 16, 37, 53, 61, 88, 92, 106, 109, 110,
+        113, 114, 117, 118, 119, 121, 123, 125, 145, 150, 208, 209, 223, 226,
+        235, 237, 238, 239, 240, 241, 248]
+    ring = _ring_and_pairs_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, nodes in ((5, [0, 1, 14, 15]), (8, [0, 1, 2, 15])):
+            assert select_sensitive_subgraph(ring, 0.2, seed).tolist() == nodes
+    # growth from inside a pair runs out of neighbours at two nodes
+    for seed, pair in ((0, [18, 19]), (3, [16, 17])):
+        with pytest.warns(RuntimeWarning, match="connected growth exhausted"):
+            assert select_sensitive_subgraph(ring, 0.2, seed).tolist() == pair
+
+
 def test_stimulus_sets_deterministic_and_distinct():
     differs = 0
     for seed in range(10):
@@ -133,7 +228,7 @@ def test_core_seed_pool_interior_of_sensitive_set():
     seeds = stimulus_seed_set(1, g, k_seed=6, pool="core")
     for s in seeds:
         assert g.sensitive[s]
-        assert all(g.sensitive[v] for v in g._und_adj[int(s)])
+        assert all(g.sensitive[v] for v in g.neighbours(int(s)))
 
 
 def _stepped_state(graph, delay, past_nodes):
@@ -384,19 +479,66 @@ def test_seeds_without_out_edges_draw_only_their_picks(action, uniforms):
         assert set(np.flatnonzero(res.state.active)) <= {16, 17, 18}
 
 
+def _reference_edge_gates(graph, spec):
+    # the per-source rule: each source's k most probable out-edges, ties by
+    # ascending dst; local by destination region
+    e = graph.edge_src.size
+    if spec.mode in ("off", "full"):
+        return np.full(e, spec.mode == "full")
+    if spec.mode == "local":
+        return np.isin(graph.edge_dst, list(spec.local_regions))
+    mask = np.zeros(e, dtype=bool)
+    for u in range(graph.node_count):
+        lo, hi = graph.out_ptr[u], graph.out_ptr[u + 1]
+        pe = graph.edge_p[lo:hi]
+        mask[lo + np.lexsort((np.arange(pe.size), -pe))[:spec.k]] = True
+    return mask
+
+
+def test_segment_gating_equals_per_row_rule():
+    # _wide_graph has tied p and out-degrees 0-12, and k runs past 12
+    wide = _wide_graph()
+    assert sorted(set(np.diff(wide.out_ptr).tolist())) == [0, 1, 2, 5, 9, 12]
+    graphs = [wide, _DESK.graph(1), generate_graph(250, 1.2, 3, locality=0.7)]
+    specs = [s for s in _LAW_SPECS if s.mode != "topk"] + [
+        DeformationSpec(mode="topk", k=k) for k in (1, 2, 3, 5, 12, 13)]
+    for g in graphs:
+        sizes = np.diff(g.out_ptr)
+        for spec in specs:
+            want = _reference_edge_gates(g, spec)
+            assert np.array_equal(edge_gate_mask(g, spec), want)
+            rows = [gated_entries(g.edge_p[lo:hi], spec, g.edge_dst[lo:hi])
+                    for lo, hi in zip(g.out_ptr[:-1], g.out_ptr[1:])]
+            assert np.array_equal(np.concatenate(rows), want)
+            assert np.array_equal(gated_entries(g.edge_p, spec, g.edge_dst,
+                                                sizes), want)
+
+
 def test_graph_caches_hand_out_read_only_arrays():
+    # after one step of each action under each mode, one step of two copies
+    # and one shield rollout, every array in every memo entry is read-only
     g = generate_graph(50, 1.1, seed=1)
-    params = EnvParams()
-    seeds = stimulus_seed_set(1, g)
-    arrays = [seeds, g.hop_distance_from(seeds),
-              edge_gate_mask(g, DeformationSpec(mode="topk")),
-              *_copies(g, 2), *stimulus_rows(g, (1, 2), params)]
-    for action in (Action.AGGRESSIVE, Action.CONSERVATIVE):
-        table = _injection_table(g, seeds, DeformationSpec(mode="topk"), action)
-        arrays += [a for a in table if isinstance(a, np.ndarray)]
+    fields = _fields(g)
+    for deform in (*_LAW_SPECS, _DESK.deform("local", g)):
+        for action in Action:
+            env_step(initial_state(g, 1, 50), action, g, fields, deform,
+                     substream(0, 1))
+    env_steps(EnvBatch.initial(g, (1, 2), 50), list(Action)[:2], g,
+              HarmFields.zeros((2, 50), fields.params), _LAW_SPECS[0],
+              [substream(0, 2), substream(0, 3)])
+    nominal_rollouts(initial_state(g, 3, 50), list(Action), g, 2,
+                     substream(0, 4))
+    assert {key[0] for key in g._memo} >= {
+        "undirected", "hop", "seeds", "stimulus_rows", "copies", "gate",
+        "injection"}
+    arrays = [a for entry in g._memo.values()
+              for a in (entry if isinstance(entry, tuple) else (entry,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) > len(g._memo)
     for a in arrays:
         before = a.copy()
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[-1] + 1
         assert np.array_equal(a, before)
+    seeds = stimulus_seed_set(1, g)
     assert stimulus_seed_set(1, g) is seeds

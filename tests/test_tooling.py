@@ -1,6 +1,8 @@
-"""Names the benchmark's span tracer looks up in the library, and the
-commands the README documents."""
+"""Names the benchmark's span tracer looks up in the library, the
+commands the README documents, and the graph's private fields."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import shlex
@@ -41,3 +43,19 @@ def test_readme_commands_parse():
     assert len(lines) >= 7
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_only_graph_env_reads_a_graphs_private_fields():
+    # DiffusionGraph's derived state (the undirected CSR, the memo) is
+    # graph_env's to lay out; other modules go through its public accessors
+    from replaylab.graph_env import DiffusionGraph
+    private = {f.name for f in dataclasses.fields(DiffusionGraph)
+               if f.name.startswith("_")}
+    reads = []
+    for path in sorted((ROOT / "src" / "replaylab").glob("*.py")):
+        if path.name == "graph_env.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert private and reads == []
