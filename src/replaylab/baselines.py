@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                         nominal_rollouts)
 from .harm_memory import FieldParams, HarmFields
-from .metrics import discounted_return, episode_metrics, replay_return, welch_ttest
+from .metrics import discounted_return, episode_metrics, welch_ttest
 from .policies import Policy
 from .rng import substream
 from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episodes
@@ -238,7 +239,6 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
 @dataclass
 class MethodOutcome:
     method: str
-    records: list = field(default_factory=list)
     metrics: list = field(default_factory=list)        # per-episode dicts
     checkpoint_json: str = ""
     transitions_per_step: int = 0
@@ -317,20 +317,37 @@ def _report_methods(cfg: RunConfig) -> list:
     return methods if "ge" in methods else ["ge"] + methods
 
 
-def _ge_reference(records, gamma: float) -> dict:
-    """Mean GE replay-phase discounted return per graph seed."""
-    by_seed: dict[int, list] = {}
-    for rec in records:
-        by_seed.setdefault(rec.graph_seed, []).append(
-            discounted_return(rec.phases["replay"].rewards, gamma))
-    return {s: float(np.mean(v)) for s, v in by_seed.items()}
+def _outcome(cfg: RunConfig, method: str) -> MethodOutcome:
+    shield = method_config(method, shield=cfg.shield_params).shield
+    return MethodOutcome(method=method, transitions_per_step=(
+        0 if shield is None else shield.transitions_per_step))
+
+
+def _score_batch(cfg: RunConfig, method: str, records,
+                 ge_reference: dict) -> list:
+    """The per-episode metric dicts of one (method, graph) batch of records,
+    in episode index order whatever order the records come in.
+
+    A GE batch first sets its graph's entry of `ge_reference`: the mean
+    replay-phase discounted return that ReplayRet on that graph divides by.
+    """
+    seed = records[0].graph_seed
+    first = _episode_seed(cfg["master_seed"], seed, 0)
+    records = sorted(records, key=lambda r: (r.episode_seed - first) % 2 ** 62)
+    if method == "ge":
+        ge_reference[seed] = float(np.mean([
+            discounted_return(r.phases["replay"].rewards, cfg.rsd_config.gamma)
+            for r in records]))
+    return [{**episode_metrics(r, ge_reference=ge_reference.get(seed)),
+             "graph_seed": seed} for r in records]
 
 
 def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     """Train (where enabled), freeze, run RSD and report for every method.
 
-    Returns a manifest dict; writes JSONL records, checkpoints, and the
-    Table-1-shaped CSV under `out_dir`.
+    Each (method, graph) batch of records is written, then scored, and
+    only its scores are kept. Returns a manifest dict; writes JSONL
+    records, checkpoints, and the Table-1-shaped CSV under `out_dir`.
     """
     graphs = [cfg.graph(seed) for seed in cfg.section("graph")["seeds"]]
     os.makedirs(out_dir, exist_ok=True)
@@ -342,25 +359,20 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
     ge_reference: dict[int, float] = {}
     for method in sorted(set(_report_methods(cfg)), key=KNOWN_METHODS.index):
         mcfg = method_config(method, shield=cfg.shield_params)
-        outcome = outcomes[method] = MethodOutcome(method=method)
+        outcome = outcomes[method] = _outcome(cfg, method)
         if method == "shield_um":
-            if "rapo" not in outcomes:
-                raise ProtocolError(
-                    "shield_um requires a completed rapo run for its target")
-            target = float(np.mean([replay_return(r, ge_reference[r.graph_seed])
-                                    for r in outcomes["rapo"].records]))
+            target = float(np.mean([m["replay_ret"]
+                                    for m in outcomes["rapo"].metrics]))
             theta = _tune_um_threshold(cfg, mcfg, checkpoints, graphs[0],
-                                       ge_reference[graphs[0].seed], target,
-                                       outcome)
+                                       ge_reference, target, outcome)
             mcfg = replace(mcfg, shield=replace(mcfg.shield, theta=theta))
         for graph in graphs:
             outcome.checkpoint_json = _checkpoint(mcfg, graph, cfg, checkpoints)
             records = run_method_episodes(cfg, mcfg, outcome.checkpoint_json,
                                           graph)
-            outcome.records += records
             _write_records(out_dir, cfg["run_id"], method, graph.seed, records)
-        if method == "ge":
-            ge_reference = _ge_reference(outcome.records, cfg.rsd_config.gamma)
+            outcome.metrics += _score_batch(cfg, method, records, ge_reference)
+            del records     # free before the next batch runs
 
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -384,23 +396,21 @@ def run_method_suite(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _tune_um_threshold(cfg: RunConfig, mcfg: MethodConfig, checkpoints: dict,
-                       graph: DiffusionGraph, ge_ref: float, target: float,
-                       outcome: MethodOutcome) -> float:
+                       graph: DiffusionGraph, ge_reference: dict,
+                       target: float, outcome: MethodOutcome) -> float:
     """Tune the shield threshold on held-out episodes to match RAPO's
     replay return."""
     held_cfg = cfg.derive({"episodes": max(2, cfg["episodes"] // 2),
                            "master_seed": cfg["master_seed"] + 7919})
     ckpt = _checkpoint(mcfg, graph, cfg, checkpoints)
-    gamma = cfg.rsd_config.gamma
 
     steps = []
 
     def evaluate(theta):
         tuned = replace(mcfg, shield=replace(mcfg.shield, theta=theta))
-        records = run_method_episodes(held_cfg, tuned, ckpt, graph)
-        achieved = float(np.mean([
-            discounted_return(r.phases["replay"].rewards, gamma) / ge_ref
-            for r in records]))
+        achieved = float(np.mean([m["replay_ret"] for m in _score_batch(
+            held_cfg, mcfg.method,
+            run_method_episodes(held_cfg, tuned, ckpt, graph), ge_reference)]))
         steps.append((theta, achieved))
         return achieved
 
@@ -413,54 +423,40 @@ def _tune_um_threshold(cfg: RunConfig, mcfg: MethodConfig, checkpoints: dict,
 
 
 def read_records(cfg: RunConfig, run_dir: str) -> dict:
-    """The records a run of `cfg` wrote under `run_dir`, per method.
-
-    A record file that cannot be read or parsed is a ConfigError naming it.
-    """
+    """Score the records a run of `cfg` wrote under `run_dir` as the run
+    did, batch by batch: the outcome of each method that has records. A
+    record file that cannot be read or parsed, or lies in another graph's
+    directory, is a ConfigError naming it."""
     root = os.path.join(run_dir, cfg["run_id"])
     if not os.path.isdir(root):
         raise ConfigError(f"no records under {root}")
-    seeds = set(cfg.section("graph")["seeds"])
     outcomes = {}
-    for method in dict.fromkeys(_report_methods(cfg)):
-        for path in glob.glob(os.path.join(root, method, "*", "*.jsonl")):
+    ge_reference: dict[int, float] = {}
+    methods = sorted(set(_report_methods(cfg)), key=KNOWN_METHODS.index)
+    for method, seed in product(methods, cfg.section("graph")["seeds"]):
+        records = []
+        for path in glob.glob(os.path.join(root, method, str(seed), "*.jsonl")):
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     recs = [RsdEpisodeRecord.from_dict(json.loads(line))
                             for line in fh]
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"malformed record file {path}: {exc}") from None
-            if any(r.graph_seed not in seeds or not isinstance(r.episode_seed, int)
+            if any(r.graph_seed != seed or not isinstance(r.episode_seed, int)
                    for r in recs):
                 raise ConfigError(f"malformed record file {path}: its graph "
                                   "or episode seed does not fit the run")
-            outcomes.setdefault(method, MethodOutcome(method=method)).records += recs
+            records += recs
+        if records:
+            outcomes.setdefault(method, _outcome(cfg, method)).metrics += \
+                _score_batch(cfg, method, records, ge_reference)
     return outcomes
 
 
 def write_report(fh, cfg: RunConfig, outcomes: dict) -> None:
-    """Score every record and write the Table-1-shaped CSV to `fh`.
-
-    Records are first put in one order, configured graph seed then episode
-    index, so a run and a report recomputed from its files agree bit for
-    bit. Each record is scored against the GE reference of its graph.
-    """
-    pos = {seed: i for i, seed in enumerate(cfg.section("graph")["seeds"])}
-
-    def order(rec):
-        first = _episode_seed(cfg["master_seed"], rec.graph_seed, 0)
-        return pos[rec.graph_seed], (rec.episode_seed - first) % (2 ** 62)
-
-    for o in outcomes.values():
-        o.records.sort(key=order)
-    ge_ref = _ge_reference(outcomes["ge"].records, cfg.rsd_config.gamma) \
-        if "ge" in outcomes else {}
-    for o in outcomes.values():
-        o.metrics = [{**episode_metrics(r, ge_reference=ge_ref.get(r.graph_seed)),
-                      "graph_seed": r.graph_seed} for r in o.records]
-        if method_config(o.method).shield is not None:
-            o.transitions_per_step = cfg.shield_params.transitions_per_step
-
+    """Write the Table-1-shaped CSV of scored outcomes to `fh`: per method
+    in config order, one row per graph seed (if there are several) and
+    one over all its episodes."""
     pmst_rags = None
     if "pm_st" in outcomes:
         pmst_rags = [m["rag"] for m in outcomes["pm_st"].metrics]

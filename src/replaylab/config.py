@@ -291,6 +291,9 @@ def _validate(cfg: dict) -> None:
     for m in cfg["methods"]:
         if m not in KNOWN_METHODS:
             raise ConfigError(f"unknown method id {m!r}")
+    if "shield_um" in cfg["methods"] and "rapo" not in cfg["methods"]:
+        raise ConfigError("method shield_um needs rapo in methods: its "
+                          "threshold is tuned to rapo's replay return")
     if not cfg["graph"]["seeds"] or min(cfg["graph"]["seeds"]) < 0:
         raise ConfigError("graph.seeds must be a nonempty list of integers >= 0")
     stimuli = cfg["rsd"]["stimuli"]

@@ -67,10 +67,7 @@ class RsdConfig:
 
 @dataclass
 class PhaseSeries:
-    """Per-step series of one phase. A run builds the small per-step rows
-    of `action_dists` and `scar_top` as tuples, which the garbage
-    collector stops tracking, so the records a suite keeps cost its full
-    collections nothing; records read back hold JSON's lists."""
+    """Per-step series of one phase."""
 
     reach: list = field(default_factory=list)
     sens: list = field(default_factory=list)
@@ -98,7 +95,7 @@ class PhaseSeries:
     def from_dict(cls, d: dict) -> "PhaseSeries":
         series = cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
                      actions=d["actions"], action_dists=d["action_dists"],
-                     odds=[tuple(o) for o in d["odds"]], radius=d["radius"],
+                     odds=d["odds"], radius=d["radius"],
                      g_sum=d["g_sum"], h_sum=d["h_sum"],
                      scar_top=d["scar_top"],
                      traj_hash=d["traj_hash"])
@@ -112,18 +109,19 @@ class PhaseSeries:
 
 
 def _ints(v) -> bool:
-    # exact types: a bool or a float is not an integer here
-    return set(map(type, v)) <= {int}
+    # exact types, in int64: a bool or a float is not an integer here
+    return set(map(type, v)) <= {int} and (
+        not v or -2 ** 63 <= min(v) and max(v) < 2 ** 63)
 
 
 def _reals(v) -> bool:
-    types = set(map(type, v))
-    if not types <= {int, float}:
+    # exact types, each converting to a finite float
+    if not set(map(type, v)) <= {int, float}:
         return False
     try:
-        return float not in types or all(map(math.isfinite, v))
-    except OverflowError:       # an int too large for a float is still real
-        return all(map(math.isfinite, [x for x in v if type(x) is float]))
+        return all(map(math.isfinite, v))
+    except OverflowError:       # an int too large for a float
+        return False
 
 
 def _real_rows(n: int):
@@ -138,13 +136,30 @@ def _real_rows(n: int):
     return ok
 
 
+def _scar_rows(rows) -> bool:
+    # per step the (region, H) pairs `HarmFields.top_scars` keeps: at most
+    # ten, each an int64 region >= 0 and a finite float H > 0
+    try:
+        pairs = list(chain.from_iterable(rows))
+        if max(map(len, rows), default=0) > 10 or set(map(len, pairs)) - {2}:
+            return False
+    except TypeError:           # a step or a pair without a length
+        return False
+    regions, hs = (list(v) for v in zip(*pairs)) if pairs else ([], [])
+    return (_ints(regions) and min(regions, default=0) >= 0
+            and set(map(type, hs)) <= {float} and _reals(hs)
+            and min(hs, default=1.0) > 0)
+
+
 _SERIES_TYPES = {
-    "reach": ("integers", _ints), "sens": ("integers", _ints),
-    "actions": ("integers", _ints), "radius": ("integers", _ints),
+    "reach": ("64-bit integers", _ints), "sens": ("64-bit integers", _ints),
+    "actions": ("64-bit integers", _ints), "radius": ("64-bit integers", _ints),
     "rewards": ("finite numbers", _reals),
     "g_sum": ("finite numbers", _reals), "h_sum": ("finite numbers", _reals),
-    "odds": ("4-tuples of finite numbers", _real_rows(4)),
+    "odds": ("4-lists of finite numbers", _real_rows(4)),
     "action_dists": ("3-lists of finite numbers", _real_rows(3)),
+    "scar_top": ("lists of at most ten [region >= 0, H > 0] pairs",
+                 _scar_rows),
 }
 
 
@@ -245,7 +260,7 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     actions, dists, feats = [], [], []
     for policy, rng, o, f in zip(policies, rngs, obs, fs):
         feats.append(policy.features(o, f))
-        dists.append(tuple(policy.action_distribution(feats[-1]).tolist()))
+        dists.append(policy.action_distribution(feats[-1]).tolist())
         actions.append(categorical(dists[-1], rng))
         policy.remember(o)
     if len(policies) == 1:
@@ -296,7 +311,6 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
     series = []
     for b in range(len(policies)):
         s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
-        s.odds = [tuple(o) for o in s.odds]
         s.action_dists = [d[b] for d in dists]
         s.scar_top = [list(zip(rs[:k], vs[:k])) for rs, vs, k in zip(
             top[:, b].tolist(), top_h[:, b].tolist(), positive[:, b].tolist())]

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
+from replaylab import baselines
 from replaylab.baselines import method_config
 from replaylab.cli import main
 from replaylab.config import desk_preset, load_config
@@ -232,11 +234,15 @@ def test_seed_env_override(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "c")]) == 2
 
 
-def test_shield_um_without_rapo_exits_three(tmp_path):
+def test_shield_um_without_rapo_exits_two(tmp_path, capsys):
+    # shield_um tunes to rapo's replay return: without rapo the config is
+    # rejected at load, before any episode runs
     cfg = _write_cfg(tmp_path, methods=["ge", "shield_um"],
                      shield={"n_mc": 1, "horizon": 2})
     assert main(["run", "--config", cfg,
-                 "--out-dir", str(tmp_path / "x")]) == 3
+                 "--out-dir", str(tmp_path / "x")]) == 2
+    assert "shield_um" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.jsonl"))
 
 
 def test_verify_exits_zero(capsys):
@@ -255,6 +261,24 @@ def test_report_matches_run_with_multi_digit_graph_seeds(tmp_path):
     assert main(["report", "--run-dir", str(out_dir),
                  "--out", str(re_csv)]) == 0
     assert re_csv.read_bytes() == (out_dir / "report.csv").read_bytes()
+
+
+def test_report_matches_run_in_any_record_file_order(tmp_path, monkeypatch):
+    # the report scores each (method, graph) batch in episode order and
+    # takes the GE reference's mean in that order, whatever order the
+    # record files are listed in
+    cfg = _write_cfg(tmp_path, graph={"seeds": [1, 2]}, episodes=5)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    listed = baselines.glob.glob
+    shuffle = random.Random(0).sample
+    for order in (lambda ps: ps[::-1], lambda ps: shuffle(ps, len(ps))):
+        monkeypatch.setattr(baselines.glob, "glob",
+                            lambda pattern: order(sorted(listed(pattern))))
+        re_csv = tmp_path / "re.csv"
+        assert main(["report", "--run-dir", str(out_dir),
+                     "--out", str(re_csv)]) == 0
+        assert re_csv.read_bytes() == (out_dir / "report.csv").read_bytes()
 
 
 def test_train_checkpoint_matches_run_checkpoint(tmp_path, monkeypatch):
@@ -337,9 +361,13 @@ def _mangle_replay(line, key, fn):
                                 lambda d: [str(x) for x in d]),
     lambda line: _mangle_replay(line, "action_dists", lambda d: d[:2]),
     lambda line: json.dumps({**json.loads(line), "schema": 2}),
+    lambda line: _mangle_replay(line, "rewards", lambda v: 10 ** 400),
+    lambda line: _mangle_replay(line, "reach", lambda v: 10 ** 400),
+    lambda line: _mangle_replay(line, "scar_top", lambda s: ["x"]),
 ], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
         "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples",
-        "string-action-dists", "action-dists-2-entries", "schema-2"])
+        "string-action-dists", "action-dists-2-entries", "schema-2",
+        "rewards-beyond-float", "reach-beyond-int64", "scar-top-string"])
 def test_malformed_record_exits_two(tmp_path, capsys, mangle):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"

@@ -143,8 +143,8 @@ def test_fuzzed_config_runs_or_exits_cleanly(tmp_path, capsys, field):
     """One field replaced by an arbitrary JSON value: the run finishes
     (exit 0) or stops with a one-line message. Exit 2 is a configuration
     error; exit 3, a protocol violation, is the documented outcome when
-    shield_um has no rapo run to target or the GE reference return is not
-    positive. No exception escapes `main`."""
+    the GE reference return is not positive. No exception escapes
+    `main`."""
     path, value = field
     cfg = json.loads(json.dumps(_FUZZ_BASE))
     node = cfg
@@ -163,4 +163,4 @@ def test_fuzzed_config_runs_or_exits_cleanly(tmp_path, capsys, field):
         assert (rc, len(err)) in ((2, 1), (3, 1)), (rc, err)
         assert err[0].startswith("configuration error:" if rc == 2 else
                                  "protocol violation:")
-        assert rc == 2 or "shield_um" in err[0] or "GE reference" in err[0]
+        assert rc == 2 or "GE reference" in err[0]

@@ -343,20 +343,33 @@ def test_record_schema_version():
 def _elementwise_series_types():
     # the record type rules as per-element predicates, one call per number
     def is_int(v):
-        return type(v) is int
+        return type(v) is int and -2 ** 63 <= v < 2 ** 63
 
     def is_real(v):
-        return type(v) is int or type(v) is float and math.isfinite(v)
+        try:
+            return type(v) in (int, float) and math.isfinite(float(v))
+        except OverflowError:
+            return False
 
     def rows(n):
         return lambda v: len(v) == n and all(map(is_real, v))
 
+    def scar_row(v):
+        try:
+            return len(v) <= 10 and all(
+                len(p) == 2 and is_int(p[0]) and p[0] >= 0
+                and type(p[1]) is float and is_real(p[1]) and p[1] > 0
+                for p in v)
+        except (TypeError, KeyError):
+            return False
+
     def each(ok):
         return lambda series: all(map(ok, series))
 
-    return {name: (what, each({"integers": is_int,
+    preds = {"odds": rows(4), "action_dists": rows(3), "scar_top": scar_row}
+    return {name: (what, each({"64-bit integers": is_int,
                                "finite numbers": is_real}.get(what) or
-                              rows(4 if name == "odds" else 3)))
+                              preds[name]))
             for name, (what, _) in rsd._SERIES_TYPES.items()}
 
 
@@ -365,14 +378,18 @@ _ODD_VALUES = [0, -3, 2 ** 63, 10 ** 400, -(10 ** 400), 1.5, -0.0, 1e308,
                None, [1], {}, np.float64(0.5), np.int64(2)]
 
 
-def _fuzzed_series(rng, steps=6):
+def _series(steps=6):
     d = {"reach": [3] * steps, "sens": [1] * steps, "actions": [0] * steps,
          "radius": [2] * steps, "rewards": [0.25] * steps,
          "g_sum": [1] * steps, "h_sum": [0.5] * steps,
          "odds": [[0.1, 0.9, 0, 1.0]] * steps,
          "action_dists": [[0.2, 0.3, 0.5]] * steps,
          "scar_top": [[]] * steps, "traj_hash": "x"}
-    d = json.loads(json.dumps(d))
+    return json.loads(json.dumps(d))
+
+
+def _fuzzed_series(rng, steps=6):
+    d = _series(steps)
     for _ in range(int(rng.integers(0, 4))):
         name = list(rsd._SERIES_TYPES)[int(rng.integers(9))]
         odd = _ODD_VALUES[int(rng.integers(len(_ODD_VALUES)))]
@@ -407,6 +424,13 @@ def test_series_type_checks_match_elementwise_predicates(monkeypatch):
     cases += [{**_fuzzed_series(rng), "rewards": v} for v in (
         [10 ** 400, float("nan")] * 3, [float("nan"), 10 ** 400] * 3,
         [10 ** 400, 1.0] * 3, [1, 2.5, -(10 ** 400)] * 2)]
+    cases += [{**_series(), "reach": v} for v in (
+        [2 ** 63 - 1, -2 ** 63] * 3, [1, 2 ** 63] * 3, [-2 ** 63 - 1, 1] * 3)]
+    cases += [{**_series(), "scar_top": [v] * 6} for v in (
+        [[0, 0.5]] * 10, [[0, 0.5]] * 11, [[3, 1.5], (7, 0.25)], ["x"],
+        [[0, 1]], [[-1, 0.5]], [[0, 0.0]], [[0, float("inf")]],
+        [[2 ** 63, 0.5]], [[0, 0.5, 1]], [[True, 0.5]], [3], None, "ab",
+        [{"a": 1, "b": 0.5}], [[1.0, 0.5]])]
     fast = [_outcome(d) for d in cases]
     monkeypatch.setattr(rsd, "_SERIES_TYPES", _elementwise_series_types())
     assert [_outcome(d) for d in cases] == fast
