@@ -294,8 +294,13 @@ def _validate(cfg: dict) -> None:
     if "shield_um" in cfg["methods"] and "rapo" not in cfg["methods"]:
         raise ConfigError("method shield_um needs rapo in methods: its "
                           "threshold is tuned to rapo's replay return")
-    if not cfg["graph"]["seeds"] or min(cfg["graph"]["seeds"]) < 0:
+    seeds = cfg["graph"]["seeds"]
+    if not seeds or min(seeds) < 0:
         raise ConfigError("graph.seeds must be a nonempty list of integers >= 0")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # a repeated seed would count each of its episodes more than once
+        raise ConfigError(f"graph.seeds repeats seed {repeated[0]}")
     stimuli = cfg["rsd"]["stimuli"]
     if not stimuli or not all(1 <= z <= N_STIMULI for z in stimuli):
         raise ConfigError(f"rsd.stimuli must be a nonempty list in 1..{N_STIMULI}")

@@ -54,12 +54,10 @@ def action_shift_distance(record: RsdEpisodeRecord) -> float:
     n = min(len(exp), len(rep))
     if n == 0:
         return 0.0
-    tv = 0.0
-    for i in range(n):
-        a = np.asarray(exp[i])
-        b = np.asarray(rep[i])
-        tv += 0.5 * np.abs(a - b).sum()
-    return tv / n
+    tv = 0.5 * np.abs(np.array(exp[:n], dtype=float)
+                      - np.array(rep[:n], dtype=float)).sum(axis=1)
+    # summed in step order (np.sum's pairwise order moves the last bits)
+    return float(np.add.accumulate(tv)[-1]) / n
 
 
 def odds_ratio_series(record: RsdEpisodeRecord, phase: str = "replay"):

@@ -59,6 +59,19 @@ def test_bad_config_value_exits_two(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "esc").exists()
 
 
+def test_repeated_graph_seed_is_rejected(tmp_path, capsys):
+    # a repeated seed would count each of its episodes twice in the report
+    with pytest.raises(ConfigError, match="graph.seeds repeats seed 3"):
+        load_config({"graph": {"seeds": [3, 1, 3]}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": {"seeds": [1, 1]}}))
+    assert main(["run", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: graph.seeds repeats seed 1"]
+    assert not list(tmp_path.rglob("*.jsonl"))
+
+
 def test_negative_sweep_gate_weight_exits_two(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{}")

@@ -77,6 +77,30 @@ def test_action_shift_distance():
     assert action_shift_distance(rec) == 0.0
 
 
+def _asd_per_step(record):
+    """The per-step loop that `action_shift_distance` replaced."""
+    exp = record.phases["exposure"].action_dists
+    rep = record.phases["replay"].action_dists
+    n = min(len(exp), len(rep))
+    tv = 0.0
+    for i in range(n):
+        tv += 0.5 * np.abs(np.asarray(exp[i]) - np.asarray(rep[i])).sum()
+    return tv / n if n else 0.0
+
+
+def test_action_shift_distance_matches_per_step_loop():
+    # bit for bit on fuzzed records, unequal phase lengths and n = 0 included
+    rng = np.random.default_rng(11)
+    for n_exp, n_rep in [(0, 0), (0, 4), (5, 0), (1, 1), (7, 3), (2, 9)] + [
+            tuple(rng.integers(1, 400, size=2)) for _ in range(40)]:
+        rec = _record(_series(reach=[1]), _series(reach=[1]))
+        rec.phases["exposure"].action_dists = rng.dirichlet(
+            np.ones(3), size=n_exp).tolist()
+        rec.phases["replay"].action_dists = rng.dirichlet(
+            np.ones(3), size=n_rep).tolist()
+        assert action_shift_distance(rec) == _asd_per_step(rec)
+
+
 def test_odds_ratio_series_and_skips():
     odds = [
         (0.5, 0.5, 0.5, 0.5),     # ratio 1

@@ -1,9 +1,13 @@
 """Executable theory checks and their negative controls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from replaylab import deformation, verification
 from replaylab.errors import ProtocolError
+from replaylab.rng import categorical, substream
 from replaylab.verification import (ToyMdp, check_compounding,
                                     check_compounding_chain, check_no_go,
                                     check_odds_contraction,
@@ -91,3 +95,29 @@ def test_toy_policy_action_dependence():
     a = check_no_go(mdp, make_toy_policy(1), trials=60, seed=5)
     b = check_no_go(mdp, make_toy_policy(2), trials=60, seed=5)
     assert a["stationary_holds"] and b["stationary_holds"]
+
+
+def test_odds_check_runs_the_shipped_conductance(monkeypatch):
+    # a conductance that ignores the scar H must fail the contraction
+    # check, so the check exercises the library's law, not a private copy
+    def scarless(regions, fields, spec):
+        return deformation.conductance(regions, fields, replace(spec, w_H=0.0))
+    monkeypatch.setattr(verification, "conductance", scarless)
+    assert check_odds_contraction(trials=200, seed=0)["holds"] is False
+
+
+def test_clipped_conductance_is_refused():
+    # psi below the floor would test the clipped law, not the stated bound
+    with pytest.raises(ProtocolError, match="psi_min"):
+        check_odds_contraction(trials=50, w_h=1000)
+
+
+def test_toy_rollout_draws_as_sample_action():
+    mdp, policy = make_toy_mdp(8, seed=6), make_toy_policy(6)
+    states, actions, _ = mdp.rollout(policy, 30, 0, substream(6, 31, 0))
+    s, rng = 0, substream(6, 31, 0)
+    policy.reset_memory()
+    for t in range(30):
+        a = policy.sample_action(mdp.observation(s, t, 30), None, rng)
+        s = categorical(mdp.row(s, a, 0).tolist(), rng)
+        assert (states[t], actions[t]) == (s, a)
