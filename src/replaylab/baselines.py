@@ -282,11 +282,10 @@ def run_episode_batch(cfg: RunConfig, mcfg: MethodConfig,
             policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
                                     cfg.field_params, seed)
         policies.append(policy)
-    configs = [replace(cfg.rsd_config, z=z,
-                       replay_deformation=mcfg.replay_deformation)
-               for z in stimuli]
+    config = replace(cfg.rsd_config,
+                     replay_deformation=mcfg.replay_deformation)
     fields = HarmFields.zeros(graph.node_count, cfg.field_params)
-    return run_rsd_episodes(configs, policies, graph, fields,
+    return run_rsd_episodes(config, stimuli, policies, graph, fields,
                             cfg.deform(mcfg.eval_deform_mode, graph),
                             episode_seeds, cfg.env_params)
 

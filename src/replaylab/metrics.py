@@ -62,14 +62,11 @@ def action_shift_distance(record: RsdEpisodeRecord) -> float:
 
 def odds_ratio_series(record: RsdEpisodeRecord, phase: str = "replay"):
     """Stepwise (p/q)/(p0/q0); steps with p0 = 0 are skipped and counted."""
-    ratios = []
-    skipped = 0
-    for p, q, p0, q0 in record.phases[phase].odds:
-        if p0 <= 0.0 or q0 <= 0.0 or q <= 0.0:
-            skipped += 1
-            continue
-        ratios.append((p / q) / (p0 / q0))
-    return ratios, skipped
+    p, q, p0, q0 = np.array(record.phases[phase].odds,
+                            dtype=float).reshape(-1, 4).T
+    keep = (p0 > 0.0) & (q0 > 0.0) & (q > 0.0)
+    ratios = (p[keep] / q[keep]) / (p0[keep] / q0[keep])
+    return ratios.tolist(), int(keep.size - keep.sum())
 
 
 def containment_radius(record: RsdEpisodeRecord, phase: str) -> int:

@@ -9,6 +9,7 @@ trajectory equality.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -82,23 +83,11 @@ class PhaseSeries:
     traj_hash: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "reach": self.reach, "sens": self.sens, "rewards": self.rewards,
-            "actions": self.actions, "action_dists": self.action_dists,
-            "odds": self.odds, "radius": self.radius,
-            "g_sum": self.g_sum, "h_sum": self.h_sum,
-            "scar_top": self.scar_top,
-            "traj_hash": self.traj_hash,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseSeries":
-        series = cls(reach=d["reach"], sens=d["sens"], rewards=d["rewards"],
-                     actions=d["actions"], action_dists=d["action_dists"],
-                     odds=d["odds"], radius=d["radius"],
-                     g_sum=d["g_sum"], h_sum=d["h_sum"],
-                     scar_top=d["scar_top"],
-                     traj_hash=d["traj_hash"])
+        series = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
         per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
         if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
             raise ValueError("a phase's per-step series must be nonempty and equally long")
@@ -174,16 +163,8 @@ class RsdEpisodeRecord:
     counterfactual: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema": RECORD_SCHEMA,
-            "config": self.config,
-            "graph_seed": self.graph_seed,
-            "episode_seed": self.episode_seed,
-            "phases": {k: v.to_dict() for k, v in self.phases.items()},
-            "field_snapshots": self.field_snapshots,
-            "policy_hash": self.policy_hash,
-            "counterfactual": self.counterfactual,
-        }
+        return {"schema": RECORD_SCHEMA, **vars(self),
+                "phases": {k: v.to_dict() for k, v in self.phases.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RsdEpisodeRecord":
@@ -191,14 +172,10 @@ class RsdEpisodeRecord:
         record without a schema version is read as version 1."""
         try:
             schema = d.get("schema", RECORD_SCHEMA)
-            rec = cls(
-                config=d["config"], graph_seed=d["graph_seed"],
-                episode_seed=d["episode_seed"],
-                phases={k: PhaseSeries.from_dict(v)
-                        for k, v in d["phases"].items()},
-                field_snapshots=d["field_snapshots"],
-                policy_hash=d["policy_hash"], counterfactual=d["counterfactual"],
-            )
+            rec = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
+            rec.phases = {k: PhaseSeries.from_dict(v)
+                          for k, v in rec.phases.items()}
+            gamma = rec.config.get("gamma")
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"record field missing or mistyped: {exc!r}") from None
         if type(schema) is not int or schema != RECORD_SCHEMA:
@@ -206,6 +183,9 @@ class RsdEpisodeRecord:
                              f"(this version reads {RECORD_SCHEMA})")
         if set(rec.phases) != {"exposure", "decay", "replay"}:
             raise ValueError("record phases must be exposure, decay and replay")
+        if not (_reals([gamma]) and 0.0 < gamma <= 1.0):
+            raise ValueError(f"record config.gamma must be a number in (0, 1], "
+                             f"not {gamma!r}")
         return rec
 
 
@@ -322,42 +302,39 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
     return batch, fields, series
 
 
-def run_rsd_episodes(configs, policies, graph: DiffusionGraph,
-                     fields: HarmFields, deform: DeformationSpec,
-                     episode_seeds, env_params: EnvParams | None = None) -> list:
+def run_rsd_episodes(config: RsdConfig, stimuli, policies,
+                     graph: DiffusionGraph, fields: HarmFields,
+                     deform: DeformationSpec, episode_seeds,
+                     env_params: EnvParams | None = None) -> list:
     """Run B Exposure -> Decay -> Replay episodes with frozen policies as B
-    copies stepped together; episode b has configs[b], policies[b] and
-    episode_seeds[b], and every episode starts from `fields`.
+    copies stepped together; episode b runs `config` with stimulus
+    z = stimuli[b], policies[b] and episode_seeds[b], and every episode
+    starts from `fields`.
 
-    The configs may differ only in the stimulus z. Each episode draws from
-    its own generators in the order a lone episode does, so record b equals
-    `run_rsd_episode(configs[b], policies[b], ...)` bit for bit.
+    Each episode draws from its own generators in the order a lone episode
+    does, so record b equals `run_rsd_episode(replace(config, z=stimuli[b]),
+    policies[b], ...)` bit for bit.
     """
-    if not len(configs) == len(policies) == len(episode_seeds) >= 1:
-        raise ValueError("need one config, policy and seed per episode")
-    if len({replace(c, z=1) for c in configs}) != 1:
-        raise ValueError("batched episodes may differ only in the stimulus z")
+    if not len(stimuli) == len(policies) == len(episode_seeds) >= 1:
+        raise ValueError("need one stimulus, policy and seed per episode")
     if not all(p.frozen for p in policies):
         raise ProtocolError("RSD requires a frozen policy")
-    config = configs[0]
     env_params = env_params or EnvParams()
     hashes = [p.weight_hash() for p in policies]
-    copies = len(configs)
-    snapshots = [{"start": fields.summary()} for _ in configs]
-    fields = HarmFields(G=np.tile(fields.G, (copies, 1)),
-                        H=np.tile(fields.H, (copies, 1)), params=fields.params)
-    stimuli = [c.z for c in configs]
+    start = fields.summary()
+    fields = HarmFields(G=np.tile(fields.G, (len(stimuli), 1)),
+                        H=np.tile(fields.H, (len(stimuli), 1)),
+                        params=fields.params)
     hops, _ = stimulus_rows(graph, stimuli, env_params)
-    phases = [{} for _ in configs]
+    phases = [{} for _ in stimuli]
 
     def phase(name, batch, fields, deform, stream, steps):
         rngs = [substream(seed, stream) for seed in episode_seeds]
         batch, fields, series = _run_phase(batch, policies, graph, fields,
                                            deform, rngs, steps, env_params,
                                            hops)
-        for b, s in enumerate(series):
-            phases[b][name] = s
-            snapshots[b][f"after_{name}"] = _copy_fields(fields, b).summary()
+        for ph, s in zip(phases, series):
+            ph[name] = s
         return batch, fields
 
     # Exposure: reset observable state and agent memory, stimulus on
@@ -387,16 +364,18 @@ def run_rsd_episodes(configs, policies, graph: DiffusionGraph,
     if [p.weight_hash() for p in policies] != hashes:
         raise ProtocolError("policy weights changed during RSD evaluation")
 
-    env = {
-        "k_seed": env_params.k_seed, "seed_pool": env_params.seed_pool,
-        "refire": env_params.refire, "reward": env_params.reward,
-        "action_costs": list(env_params.action_costs),
-    }
+    # a phase's closing field summary is its series' last entry
+    snapshots = [{"start": start, **{f"after_{name}": {
+        "g_sum": s.g_sum[-1], "h_sum": s.h_sum[-1],
+        "top_scar_regions": [list(pair) for pair in s.scar_top[-1]]}
+        for name, s in ph.items()}} for ph in phases]
+    configs = [replace(config, z=z) for z in stimuli]
     return [RsdEpisodeRecord(
-        config={**asdict(c), "config_hash": c.hash(), "env_params": dict(env)},
+        config={**asdict(c), "config_hash": c.hash(),
+                "env_params": asdict(env_params)},
         graph_seed=graph.seed, episode_seed=seed, phases=ph,
         field_snapshots=snaps, policy_hash=h,
-        counterfactual=(c.replay_deformation == "off"))
+        counterfactual=(config.replay_deformation == "off"))
         for c, seed, ph, snaps, h in zip(configs, episode_seeds, phases,
                                          snapshots, hashes)]
 
@@ -407,5 +386,5 @@ def run_rsd_episode(config: RsdConfig, policy: Policy, graph: DiffusionGraph,
                     env_params: EnvParams | None = None) -> RsdEpisodeRecord:
     """Run one Exposure -> Decay -> Replay episode with a frozen policy:
     `run_rsd_episodes` with one copy."""
-    return run_rsd_episodes([config], [policy], graph, fields, deform,
-                            [episode_seed], env_params)[0]
+    return run_rsd_episodes(config, [config.z], [policy], graph, fields,
+                            deform, [episode_seed], env_params)[0]

@@ -51,7 +51,7 @@ def _means(outcome, key):
 def _episodes(cfg, make_policy, graph, seeds):
     """One batched call: every episode starts from zero fields and has its
     own frozen policy."""
-    return run_rsd_episodes([cfg] * len(seeds),
+    return run_rsd_episodes(cfg, [cfg.z] * len(seeds),
                             [make_policy() for _ in seeds], graph,
                             HarmFields.zeros(50, FieldParams(delay=10)), OFF,
                             seeds)

@@ -7,9 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from replaylab.baselines import (ShieldParams, method_config,
-                                 run_method_suite, shield_filter,
-                                 tune_shield_um)
+from replaylab.baselines import (ShieldParams, _checkpoint, method_config,
+                                 run_method_episodes, run_method_suite,
+                                 shield_filter, tune_shield_um)
 from replaylab.config import KNOWN_METHODS, desk_preset, load_config
 from replaylab.deformation import DeformationSpec
 from replaylab.errors import ConfigError
@@ -17,6 +17,7 @@ from replaylab.graph_env import (Action, EnvParams, env_step, generate_graph,
                                  initial_state, nominal_rollouts)
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
+from replaylab.rsd import PhaseSeries
 
 
 def test_registry_covers_all_method_ids():
@@ -28,6 +29,29 @@ def test_registry_covers_all_method_ids():
 def test_unknown_method_error_names_the_id():
     with pytest.raises(ConfigError, match="no_such_method"):
         method_config("no_such_method")
+
+
+def test_desk_counterfactual_replays_ge_and_splits_from_rapo_at_replay():
+    # on desk, rapo_off_rep's records equal ge's in every phase series and
+    # field snapshot; rapo equals rapo_off_rep through exposure and decay
+    # and first differs from it at replay step 1
+    cfg = load_config(desk_preset(graph={"seeds": [1]}, episodes=2))
+    graph = cfg.graph(1)
+    runs = {}
+    for method in ("ge", "rapo", "rapo_off_rep"):
+        mcfg = method_config(method)
+        runs[method] = run_method_episodes(
+            cfg, mcfg, _checkpoint(mcfg, graph, cfg, {}), graph)
+    per_step = [f.name for f in dataclasses.fields(PhaseSeries)
+                if f.name != "traj_hash"]
+    for ge, rapo, off in zip(runs["ge"], runs["rapo"], runs["rapo_off_rep"]):
+        assert off.phases == ge.phases
+        assert off.field_snapshots == ge.field_snapshots
+        assert [rapo.phases[p] for p in ("exposure", "decay")] \
+            == [off.phases[p] for p in ("exposure", "decay")]
+        steps = [list(zip(*(getattr(r.phases["replay"], n) for n in per_step)))
+                 for r in (rapo, off)]
+        assert [a == b for a, b in zip(*steps)].index(False) == 1
 
 
 def test_structural_identity_of_matched_pair():

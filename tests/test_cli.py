@@ -347,6 +347,14 @@ def _mangle_replay(line, key, fn):
     return json.dumps(rec)
 
 
+def _mangle_config(line, **changes):
+    # set each config key to its value, or drop it for None
+    rec = json.loads(line)
+    config = {**rec["config"], **changes}
+    rec["config"] = {k: v for k, v in config.items() if v is not None}
+    return json.dumps(rec)
+
+
 @pytest.mark.parametrize("mangle", [
     lambda line: line[: len(line) // 2],
     lambda line: json.dumps({k: v for k, v in json.loads(line).items()
@@ -364,10 +372,13 @@ def _mangle_replay(line, key, fn):
     lambda line: _mangle_replay(line, "rewards", lambda v: 10 ** 400),
     lambda line: _mangle_replay(line, "reach", lambda v: 10 ** 400),
     lambda line: _mangle_replay(line, "scar_top", lambda s: ["x"]),
+    lambda line: _mangle_config(line, gamma="x"),
+    lambda line: _mangle_config(line, gamma=None),
 ], ids=["truncated", "no-phases", "not-an-object", "foreign-graph-seed",
         "uneven-series", "string-reach", "nan-rewards", "odds-3-tuples",
         "string-action-dists", "action-dists-2-entries", "schema-2",
-        "rewards-beyond-float", "reach-beyond-int64", "scar-top-string"])
+        "rewards-beyond-float", "reach-beyond-int64", "scar-top-string",
+        "gamma-string", "gamma-missing"])
 def test_malformed_record_exits_two(tmp_path, capsys, mangle):
     cfg = _write_cfg(tmp_path)
     out_dir = tmp_path / "out"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,28 @@ def test_episode_record_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RECORDS[case]
 
 
+# sha256 of json.dumps(rec.to_dict()) for the two records of one batch of
+# augmented-policy episodes on ARC_GRAPH (stimuli 1 and 5): the bytes of a
+# record file line, key order and schema included. A change meant to
+# preserve behaviour must leave them unchanged.
+PINNED_BATCH_RECORDS = [
+    "5c64f0931b4e2a30b0a442e4cd4f64ad4d692f42d776d27bebba9d7d7b0d84e0",
+    "9781614a2a8337872a3c55d7d3ab59045213fc3bdf6adab4d26326131c6ff1ed",
+]
+
+
+def test_batched_record_bytes_pinned():
+    w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
+    records = run_rsd_episodes(
+        RsdConfig(t_exp=30, t_decay=10, t_rep=30, gamma=0.9), [1, 5],
+        [_policy(feature_mode="augmented", weights=w) for _ in range(2)],
+        ARC_GRAPH, _fields(ARC_GRAPH, delay=10, alpha=2.0, eta=0.3), FULL,
+        [7, 8], ARC_ENV)
+    assert records[0].field_snapshots["after_replay"]["top_scar_regions"]
+    assert [hashlib.sha256(json.dumps(r.to_dict()).encode()).hexdigest()
+            for r in records] == PINNED_BATCH_RECORDS
+
+
 def _batch_policies(kind, seeds):
     """Fresh frozen policies, one per episode seed."""
     w = 0.1 * np.random.default_rng(5).standard_normal((3, 10))
@@ -278,24 +301,16 @@ def _batch_policies(kind, seeds):
 def test_batched_episodes_equal_one_at_a_time(kind, switch):
     # four episodes with mixed stimuli stepped as one batch give the
     # records that four lone episodes give
-    seeds = [7, 8, 9, 10]
-    configs = [RsdConfig(t_exp=40, t_decay=10, t_rep=40, z=z, **switch)
-               for z in (1, 5, 5, 12)]
+    seeds, stimuli = [7, 8, 9, 10], [1, 5, 5, 12]
+    config = RsdConfig(t_exp=40, t_decay=10, t_rep=40, **switch)
     fields = _fields(ARC_GRAPH, delay=10, alpha=2.0, eta=0.3)
-    batched = run_rsd_episodes(configs, _batch_policies(kind, seeds),
+    batched = run_rsd_episodes(config, stimuli, _batch_policies(kind, seeds),
                                ARC_GRAPH, fields, FULL, seeds, ARC_ENV)
-    alone = [run_rsd_episode(c, p, ARC_GRAPH, fields, FULL, s, ARC_ENV)
-             for c, p, s in zip(configs, _batch_policies(kind, seeds), seeds)]
+    alone = [run_rsd_episode(replace(config, z=z), p, ARC_GRAPH, fields, FULL,
+                             s, ARC_ENV)
+             for z, p, s in zip(stimuli, _batch_policies(kind, seeds), seeds)]
     assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
     assert len({r.phases["replay"].traj_hash for r in batched}) > 1
-
-
-def test_batched_episodes_differ_only_in_stimulus():
-    configs = [RsdConfig(t_exp=5, t_decay=5, t_rep=5),
-               RsdConfig(t_exp=5, t_decay=5, t_rep=6)]
-    with pytest.raises(ValueError, match="stimulus"):
-        run_rsd_episodes(configs, [_policy(), _policy()], GRAPH,
-                         _fields(GRAPH), OFF, [1, 2])
 
 
 def test_observe_and_field_features_batched_rows_equal_one_copy():
