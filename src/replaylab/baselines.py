@@ -20,7 +20,7 @@ from .config import (KNOWN_METHODS, MethodConfig, RunConfig, ShieldParams,
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                         nominal_rollouts)
-from .harm_memory import FieldParams, HarmFields
+from .harm_memory import HarmFields
 from .metrics import discounted_return, episode_metrics, welch_ttest
 from .policies import Policy
 from .rng import substream
@@ -42,15 +42,16 @@ __all__ = [
 
 def shield_filter(state, graph: DiffusionGraph, theta: float, n_mc: int,
                   horizon: int, rng: np.random.Generator,
-                  env_params: EnvParams, field_params: FieldParams):
+                  env_params: EnvParams, field_params=None):
     """Estimate expected cumulative sensitive mass per action under the
     nominal kernel and return (allowed actions, transitions simulated).
 
     Rollouts hold the candidate action fixed; the `n_mc` rollouts of each
     of the three actions advance together in one `nominal_rollouts` call.
     Under the nominal kernel the fields are zero and play no part, so
-    `field_params` is not read. If every action exceeds the threshold,
-    Conservative is allowed as the fail-safe.
+    `field_params` is unread; it stays only for callers that pass it. If
+    every action exceeds the threshold, Conservative is allowed as the
+    fail-safe.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
@@ -61,66 +62,40 @@ def shield_filter(state, graph: DiffusionGraph, theta: float, n_mc: int,
     return allowed or [int(Action.CONSERVATIVE)], n_mc * horizon * 3
 
 
-class ShieldedPolicy:
-    """Wraps a frozen policy with the Monte-Carlo action filter.
+class ShieldedPolicy(Policy):
+    """A policy whose actions pass the Monte-Carlo action filter.
 
-    Exposes the Policy interface `rsd.agent_step` uses (features,
-    action_distribution, remember); the step binds the current environment
-    state before each evaluation.
+    It takes over `base`'s state (weights, window memory, frozen flag), so
+    features and memory are the base policy's own. `rsd.agent_step` binds
+    the current environment state before each evaluation.
     """
 
     def __init__(self, base: Policy, graph: DiffusionGraph,
-                 params: ShieldParams, env_params: EnvParams,
-                 field_params: FieldParams, mc_seed: int):
-        self.base = base
+                 params: ShieldParams, env_params: EnvParams, mc_seed: int):
+        vars(self).update(vars(base))
         self.graph = graph
         self.params = params
         self.env_params = env_params
-        self.field_params = field_params
         self.mc_rng = substream(mc_seed, 14)
-        self._state = None
         self._allowed_actions = None
-
-    # Policy interface -------------------------------------------------------
-    @property
-    def feature_mode(self):
-        return self.base.feature_mode
-
-    @property
-    def frozen(self):
-        return self.base.frozen
 
     def bind_env_state(self, state, fields, deform):
         # one filter evaluation per environment step, reused by every
         # distribution query until the next bind
-        self._state = state
         self._allowed_actions, _ = shield_filter(
             state, self.graph, self.params.theta, self.params.n_mc,
-            self.params.horizon, self.mc_rng, self.env_params,
-            self.field_params)
+            self.params.horizon, self.mc_rng, self.env_params)
 
     def action_distribution(self, features):
-        if self._state is None:
+        if self._allowed_actions is None:
             raise ProtocolError("shield evaluated without a bound env state")
-        dist = self.base.action_distribution(features)
+        dist = super().action_distribution(features)
         mask = np.zeros_like(dist)
         mask[self._allowed_actions] = 1.0
         gated = dist * mask
         if gated.sum() <= 0:
             gated = mask
         return gated / gated.sum()
-
-    def features(self, obs, field_summary=None):
-        return self.base.features(obs, field_summary)
-
-    def remember(self, obs):
-        self.base.remember(obs)
-
-    def reset_memory(self):
-        self.base.reset_memory()
-
-    def weight_hash(self):
-        return self.base.weight_hash()
 
 
 def tune_shield_um(evaluate, target_replay_ret: float, tolerance: float = 0.05,
@@ -279,8 +254,8 @@ def run_episode_batch(cfg: RunConfig, mcfg: MethodConfig,
     for seed in episode_seeds:
         policy = Policy.from_json(checkpoint_json).freeze()
         if mcfg.shield is not None:
-            policy = ShieldedPolicy(policy, graph, mcfg.shield, cfg.env_params,
-                                    cfg.field_params, seed)
+            policy = ShieldedPolicy(policy, graph, mcfg.shield,
+                                    cfg.env_params, seed)
         policies.append(policy)
     config = replace(cfg.rsd_config,
                      replay_deformation=mcfg.replay_deformation)
@@ -437,8 +412,7 @@ def read_records(cfg: RunConfig, run_dir: str) -> dict:
         for path in glob.glob(os.path.join(root, method, str(seed), "*.jsonl")):
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    recs = [RsdEpisodeRecord.from_dict(json.loads(line))
-                            for line in fh]
+                    recs = [RsdEpisodeRecord.from_json(line) for line in fh]
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"malformed record file {path}: {exc}") from None
             if any(r.graph_seed != seed or not isinstance(r.episode_seed, int)
@@ -513,4 +487,4 @@ def _write_records(out_dir, run_id, method, graph_seed, records) -> None:
     for rec in records:
         p = os.path.join(d, f"{rec.episode_seed}.jsonl")
         with open(p, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec.to_dict(), check_circular=False) + "\n")
+            fh.write(rec.to_json() + "\n")

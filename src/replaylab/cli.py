@@ -138,7 +138,7 @@ def cmd_rsd_eval(args) -> int:
     [record] = run_episode_batch(cfg, mcfg, checkpoint, graph, [args.z],
                                  [args.episode_seed])
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.to_dict()) + "\n")
+        fh.write(record.to_json() + "\n")
     m = episode_metrics(record)
     print(f"rag={m['rag']:.4f} auc_r={m['auc_r']:.4f} sm_r={m['sm_r']:.4f} "
           f"asd={m['asd']:.4f}")

@@ -309,6 +309,17 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("episodes, workers and training.episode_len must be >= 1")
     if min(cfg["master_seed"], tr["seed"]) < 0:
         raise ConfigError("master_seed and training.seed must be >= 0")
+    # values outside these would silently train or tune nothing
+    for name, ok, rule in (
+            ("training.steps", tr["steps"] >= 1, ">= 1"),
+            ("training.epochs_per_batch", tr["epochs_per_batch"] >= 1, ">= 1"),
+            ("training.lr", tr["lr"] > 0, "> 0"),
+            ("training.lr_dual", tr["lr_dual"] >= 0, ">= 0"),
+            ("training.clip", 0 < tr["clip"] < 1, "in (0, 1)"),
+            ("training.gae_lambda", 0 <= tr["gae_lambda"] <= 1, "in [0, 1]"),
+            ("shield.um_tolerance", cfg["shield"]["um_tolerance"] > 0, "> 0")):
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}")
 
 
 def load_config(source, overrides: dict | None = None) -> RunConfig:

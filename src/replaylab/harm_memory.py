@@ -49,9 +49,6 @@ class HarmFields:
         params = params or FieldParams()
         return cls(G=np.zeros(regions), H=np.zeros(regions), params=params)
 
-    def copy(self) -> "HarmFields":
-        return HarmFields(G=self.G.copy(), H=self.H.copy(), params=self.params)
-
     def top_scars(self):
         """The 10 largest H values along the regions axis (per copy for B
         copies): their regions, by stable argsort of -H, the values, and

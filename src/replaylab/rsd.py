@@ -188,6 +188,15 @@ class RsdEpisodeRecord:
                              f"not {gamma!r}")
         return rec
 
+    def to_json(self) -> str:
+        """The record as one line of a record file, without its newline."""
+        return json.dumps(self.to_dict(), check_circular=False)
+
+    @classmethod
+    def from_json(cls, line: str) -> "RsdEpisodeRecord":
+        """Parse a record file line; raise ValueError if it is malformed."""
+        return cls.from_dict(json.loads(line))
+
 
 def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     """Flatten per-step field snapshots into JSONL-ready rows.

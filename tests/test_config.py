@@ -40,6 +40,18 @@ def test_derive_revalidates_and_keeps_master_seed():
     ("rsd", "rng_mode", "weird"),
     ("graph", "sens_style", "zig"),
     ("training", "scripted_fallback", "zig"),
+    ("training", "steps", -5),
+    ("training", "steps", 0),
+    ("training", "epochs_per_batch", 0),
+    ("training", "lr", -0.1),
+    ("training", "lr", 0.0),
+    ("training", "lr_dual", -1.0),
+    ("training", "clip", -1.0),
+    ("training", "clip", 1.0),
+    ("training", "gae_lambda", 2.0),
+    ("training", "gae_lambda", -0.5),
+    ("shield", "um_tolerance", -1.0),
+    ("shield", "um_tolerance", 0.0),
     ("graph", "nodes", 50.5),
     (None, "run_id", "../esc"),
     (None, "run_id", ""),

@@ -202,7 +202,7 @@ def test_augmented_episode_traj_hashes_pinned(wrap):
     if wrap == "shielded":
         policy = ShieldedPolicy(policy, GRAPH,
                                 ShieldParams(theta=30.0, n_mc=2, horizon=5),
-                                PINNED_ENV, FieldParams(delay=10), 7)
+                                PINNED_ENV, 7)
     rec = _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60), policy=policy,
                deform=PINNED_DEFORM[wrap], env=PINNED_ENV, delay=10)
     assert [rec.phases[p].traj_hash for p in ("exposure", "decay", "replay")] \
@@ -231,7 +231,7 @@ def _pinned_record_episode(case):
     if case == "shielded":
         policy = ShieldedPolicy(augmented, GRAPH,
                                 ShieldParams(theta=30.0, n_mc=2, horizon=5),
-                                PINNED_ENV, FieldParams(delay=10), 7)
+                                PINNED_ENV, 7)
         return _run(RsdConfig(t_exp=60, t_decay=10, t_rep=60), policy=policy,
                     deform=FULL, env=PINNED_ENV, delay=10)
     window = _policy(kind="window", window=3,
@@ -278,14 +278,17 @@ def _batch_policies(kind, seeds):
     if kind == "scripted":
         return [_policy(kind="scripted", scripted_action=a)
                 for a in (0, 1, 2, 0)[:len(seeds)]]
-    if kind == "window":
+    if kind in ("window", "shielded-window"):
         ww = 0.1 * np.random.default_rng(6).standard_normal((3, 13))
-        return [_policy(kind="window", window=3, weights=ww) for _ in seeds]
-    policies = [_policy(feature_mode="augmented", weights=w) for _ in seeds]
-    if kind == "shielded":
+        policies = [_policy(kind="window", window=3, weights=ww) for _ in seeds]
+    else:
+        policies = [_policy(feature_mode="augmented", weights=w) for _ in seeds]
+    if kind.startswith("shielded"):
+        # at theta 55 the window policy's own choice decides most steps
+        theta = 55.0 if kind == "shielded-window" else 30.0
         policies = [ShieldedPolicy(p, ARC_GRAPH,
-                                   ShieldParams(theta=30.0, n_mc=2, horizon=5),
-                                   ARC_ENV, FieldParams(delay=10), seed)
+                                   ShieldParams(theta=theta, n_mc=2, horizon=5),
+                                   ARC_ENV, seed)
                     for p, seed in zip(policies, seeds)]
     return policies
 
@@ -296,8 +299,9 @@ def _batch_policies(kind, seeds):
     ("augmented", {"replay_deformation": "off"}),
     ("augmented", {"field_reset": "reset"}),
     ("window", {"truncate_buffer": True}),
+    ("shielded-window", {}),
 ], ids=["scripted", "augmented", "window", "shielded", "paired",
-        "replay-off", "field-reset", "truncate-buffer"])
+        "replay-off", "field-reset", "truncate-buffer", "shielded-window"])
 def test_batched_episodes_equal_one_at_a_time(kind, switch):
     # four episodes with mixed stimuli stepped as one batch give the
     # records that four lone episodes give
@@ -306,11 +310,20 @@ def test_batched_episodes_equal_one_at_a_time(kind, switch):
     fields = _fields(ARC_GRAPH, delay=10, alpha=2.0, eta=0.3)
     batched = run_rsd_episodes(config, stimuli, _batch_policies(kind, seeds),
                                ARC_GRAPH, fields, FULL, seeds, ARC_ENV)
+    lone = _batch_policies(kind, seeds)
+    if kind == "shielded-window":
+        # a stale history in the lone windows, which the exposure reset
+        # of the shielded policy must clear
+        for p in lone:
+            p.remember(np.ones(4))
     alone = [run_rsd_episode(replace(config, z=z), p, ARC_GRAPH, fields, FULL,
                              s, ARC_ENV)
-             for z, p, s in zip(stimuli, _batch_policies(kind, seeds), seeds)]
+             for z, p, s in zip(stimuli, lone, seeds)]
     assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
     assert len({r.phases["replay"].traj_hash for r in batched}) > 1
+    if kind == "shielded-window":
+        # the shielded policy remembered the replay's last observations
+        assert all(p.features(np.zeros(4))[4:-1].any() for p in lone)
 
 
 def test_observe_and_field_features_batched_rows_equal_one_copy():
