@@ -1,9 +1,11 @@
 """Run the executable theory checks and show their margins.
 
 The no-go equivalence (a reset agent cannot behave differently under a
-stationary kernel), the odds-contraction factor, the safe-mass floor, and
-the multi-step compounding bound — each checked against explicit small
-models, with negative controls that must fail.
+stationary kernel) runs on the shipped Exposure -> Decay -> Replay runner,
+with RAPO's scar-reading deformation as the negative control that must
+break it. The odds-contraction factor, the safe-mass floor and the
+multi-step compounding bound are checked on the library's own
+conductance -> reweight_rows law, with their own negative controls.
 """
 
 import json

@@ -26,10 +26,9 @@ from .rsd import (PhaseSeries, RsdConfig, RsdEpisodeRecord, run_rsd_episode,
 from .training import (Batch, TrainerState, dual_update, gae_advantages,
                        ss_penalty_update, surrogate_loss_and_grad,
                        train_epoch)
-from .verification import (ToyMdp, check_compounding,
-                           check_compounding_chain, check_no_go,
-                           check_odds_contraction, check_odds_extension,
-                           check_safe_mass, clipping_relaxation_demo,
-                           make_toy_mdp, run_all_checks)
+from .verification import (check_compounding, check_compounding_chain,
+                           check_no_go, check_odds_contraction,
+                           check_odds_extension, check_safe_mass,
+                           clipping_relaxation_demo, run_all_checks)
 
 __version__ = "0.1.0"

@@ -194,15 +194,11 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
                       h_increments=np.array(hincs),
                       old_logp=np.array(logps),
                       starts=np.array(starts, dtype=bool))
-        use_duals = mcfg.cost_wiring == "rapo"
-        if not use_duals:
-            batch.g_sums = np.zeros(len(batch))
-            batch.h_increments = np.zeros(len(batch))
         for _ in range(tr_cfg["epochs_per_batch"]):
             trainer = train_epoch(trainer, batch)
         check_finite(trainer, f"training {mcfg.method} on graph seed "
                               f"{graph.seed} diverged by step {steps_done}")
-        if use_duals:
+        if mcfg.cost_wiring == "rapo":
             trainer = dual_update(trainer, batch)
     return policy
 

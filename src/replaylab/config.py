@@ -95,6 +95,8 @@ class ShieldParams:
     def __post_init__(self):
         if self.n_mc < 1 or self.horizon < 1:
             raise ValueError("n_mc and horizon must be >= 1")
+        if not self.theta >= 0:
+            raise ValueError("theta must be >= 0")
 
     @property
     def transitions_per_step(self) -> int:

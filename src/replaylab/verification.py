@@ -1,12 +1,14 @@
-"""Executable checks of the theoretical claims on small explicit models.
+"""Executable checks of the theoretical claims on the library's own code.
 
 Three claims, each with a positive check and a mandatory negative control:
 
 * No-go: with a stationary kernel, resetting the observable state and the
-  agent cannot change replay behavior. Paired random streams turn this into
-  bit-exact trajectory equality; independent streams into distributional
-  indistinguishability. The negative control is a kernel that reads a
-  persistent internal variable.
+  agent cannot change replay behavior. Checked on the shipped Exposure ->
+  Decay -> Replay runner (`rsd.run_rsd_episodes`) with deformation off.
+  Paired random streams turn this into bit-exact trajectory equality;
+  independent streams into distributional indistinguishability. The
+  negative control is RAPO's full deformation, a kernel that reads the
+  persistent scar.
 * Odds contraction: exponential destination conductance multiplies the
   harmful-versus-safe odds by at most exp(-w_H * (h_star - h_0)); with
   non-uniform traces the factor relaxes to
@@ -25,149 +27,77 @@ alone and the clipped conductance both fall outside the guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
 from .deformation import DeformationSpec, conductance, reweight_rows
 from .errors import ProtocolError
+from .graph_env import N_STIMULI, generate_graph
 from .harm_memory import FieldParams, HarmFields
 from .policies import Policy
-from .rng import categorical, substream
+from .rng import substream
+from .rsd import RsdConfig, run_rsd_episodes
 
 __all__ = [
-    "ToyMdp", "make_toy_mdp", "check_no_go", "check_odds_contraction",
-    "check_odds_extension", "check_safe_mass", "check_compounding",
-    "check_compounding_chain", "clipping_relaxation_demo", "run_all_checks",
+    "check_no_go", "check_odds_contraction", "check_odds_extension",
+    "check_safe_mass", "check_compounding", "check_compounding_chain",
+    "clipping_relaxation_demo", "run_all_checks",
 ]
 
-_MAX_STATES = 64
-_N_ACTIONS = 3
 _WIDTH = 20                          # most destinations a random instance has
 _UNCLIPPED = np.finfo(float).tiny    # psi floor below every psi checked
 _BLOCK = 500                         # trials drawn at once; bounds memory
 
 
-@dataclass
-class ToyMdp:
-    """Tiny explicit-kernel MDP with a harmful state set.
-
-    `kernel` is (actions, states, states) or (states, states) for an
-    action-independent chain. `xi` is a persistent environment-side counter
-    incremented on every harmful-state visit. With xi_shift = 0 the kernel
-    never reads it (stationary); with xi_shift > 0 the kernel moves that
-    much probability mass toward state 0 once xi is positive, which breaks
-    stationarity and serves as the negative control.
-    """
-
-    kernel: np.ndarray
-    harmful: np.ndarray                # bool (S,)
-    xi_shift: float = 0.0
-
-    def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=float)
-        if k.ndim == 2:
-            k = np.repeat(k[None, :, :], _N_ACTIONS, axis=0)
-        if k.ndim != 3 or k.shape[0] != _N_ACTIONS or k.shape[1] != k.shape[2]:
-            raise ValueError("kernel must be (A, S, S) or (S, S)")
-        s = k.shape[1]
-        if s > _MAX_STATES:
-            raise ValueError(f"toy chain limited to {_MAX_STATES} states")
-        if np.any(k < 0):
-            raise ValueError("kernel entries must be nonnegative")
-        if np.max(np.abs(k.sum(axis=2) - 1.0)) > 1e-12:
-            raise ValueError("kernel rows must sum to 1 within 1e-12")
-        self.kernel = k
-        self.harmful = np.asarray(self.harmful, dtype=bool)
-        if self.harmful.shape != (s,):
-            raise ValueError("harmful mask must have one entry per state")
-
-    @property
-    def n_states(self) -> int:
-        return self.kernel.shape[1]
-
-    def row(self, state: int, action: int, xi: int) -> np.ndarray:
-        base = self.kernel[action, state]
-        if self.xi_shift > 0 and xi > 0:
-            shifted = (1.0 - self.xi_shift) * base
-            shifted[0] += self.xi_shift
-            return shifted
-        return base
-
-    def observation(self, state: int, t: int, steps: int) -> np.ndarray:
-        denom = max(self.n_states - 1, 1)
-        return np.array([state / denom, float(self.harmful[state]),
-                         0.0, t / steps])
-
-    def rollout(self, policy: Policy, steps: int, xi: int,
-                rng: np.random.Generator):
-        """Trajectory from state 0; returns (states, actions, final xi)."""
-        s = 0
-        states = np.empty(steps, dtype=np.int64)
-        actions = np.empty(steps, dtype=np.int64)
-        for t in range(steps):
-            obs = self.observation(s, t, steps)
-            dist = policy.action_distribution(policy.features(obs))
-            a = categorical(dist.tolist(), rng)   # as `rsd.agent_step` does
-            policy.remember(obs)
-            s = categorical(self.row(s, a, xi).tolist(), rng)
-            if self.harmful[s]:
-                xi += 1
-            states[t] = s
-            actions[t] = a
-        return states, actions, xi
-
-
-def make_toy_mdp(n_states: int = 8, seed: int = 0,
-                 xi_shift: float = 0.0) -> ToyMdp:
-    """Random dense action-dependent chain; top quarter of states harmful."""
-    rng = substream(seed, 30)
-    kernel = rng.dirichlet(np.ones(n_states), size=(_N_ACTIONS, n_states))
-    # exact row normalization so the 1e-12 contract holds
-    kernel = kernel / kernel.sum(axis=2, keepdims=True)
-    harmful = np.zeros(n_states, dtype=bool)
-    harmful[-max(1, n_states // 4):] = True
-    return ToyMdp(kernel=kernel, harmful=harmful, xi_shift=xi_shift)
-
-
 def make_toy_policy(seed: int = 0) -> Policy:
-    """A frozen Markov softmax policy over the toy observation."""
+    """A frozen Markov softmax policy over the observation, N(0, 1) weights."""
     rng = substream(seed, 36)
     pol = Policy(kind="softmax", feature_mode="obs", seed=seed)
     pol.set_weights(rng.normal(size=pol.weights.shape))
     return pol.freeze()
 
 
-def check_no_go(mdp: ToyMdp, policy: Policy | None = None, *,
-                t_exp: int = 40, t_rep: int = 40, trials: int = 200,
-                seed: int = 0, alpha: float = 0.01) -> dict:
-    """Compare exposure and replay trajectories of a fresh-reset agent.
+def check_no_go(deform: DeformationSpec, policy: Policy | None = None, *,
+                steps: int = 40, trials: int = 50, seed: int = 0,
+                alpha: float = 0.01) -> dict:
+    """Compare exposure and replay of a fresh-reset agent on the shipped
+    Exposure -> Decay -> Replay runner.
 
-    Paired streams: replay reuses the exposure stream; stationarity predicts
-    bit-identical state and action trajectories. Independent streams: a KS
-    test on the harmful-visit counts must not reject at level alpha. Returns
-    a dict with `paired_identical`, `ks_pvalue`, and `stationary_holds`.
+    `trials` episodes on `generate_graph(50, 1.1, seed)` from zero fields,
+    stimuli cycling through 1..20, each with its own frozen copy of
+    `policy`, run as one `run_rsd_episodes` batch per stream mode under
+    `deform`. Exposure and replay last `steps` each, since the observation
+    carries the phase clock. Paired streams: replay reuses the exposure
+    stream; a stationary kernel predicts every replay `traj_hash` equal to
+    its exposure's. Independent streams: a KS test on each episode's
+    sensitive mass (the sum of its `sens` series) in exposure vs replay
+    must not reject at level alpha. Returns a dict with `paired_identical`,
+    `ks_pvalue`, and `stationary_holds`.
     """
-    if t_rep > t_exp:
-        raise ValueError("paired comparison needs t_rep <= t_exp")
+    if trials < 2:   # a KS test on one episode per side tests nothing
+        raise ValueError("the no-go check needs trials >= 2")
     policy = policy or make_toy_policy(seed)
     if not policy.frozen:
         raise ProtocolError("no-go check requires a frozen policy")
-    paired_identical = True
-    exp_stats, rep_stats = [], []
-    for i in range(trials):
-        # exposure builds up xi; the replay reset clears the state, not xi
-        policy.reset_memory()
-        exp_s, exp_a, xi = mdp.rollout(policy, t_exp, 0, substream(seed, 31, i))
-        policy.reset_memory()
-        rep_s, rep_a, _ = mdp.rollout(policy, t_rep, xi, substream(seed, 31, i))
-        if not (np.array_equal(rep_s, exp_s[:t_rep])
-                and np.array_equal(rep_a, exp_a[:t_rep])):
-            paired_identical = False
-        exp_stats.append(int(mdp.harmful[exp_s[:t_rep]].sum()))
-        policy.reset_memory()
-        rep_s_i, _, _ = mdp.rollout(policy, t_rep, xi, substream(seed, 32, i))
-        rep_stats.append(int(mdp.harmful[rep_s_i].sum()))
+    graph = generate_graph(50, 1.1, seed)
+    fields = HarmFields.zeros(graph.node_count, FieldParams(delay=10))
+    stimuli = [1 + i % N_STIMULI for i in range(trials)]
+    episode_seeds = range(trials * seed, trials * (seed + 1))
+
+    def episodes(rng_mode):
+        cfg = RsdConfig(t_exp=steps, t_decay=10, t_rep=steps,
+                        rng_mode=rng_mode)
+        return run_rsd_episodes(cfg, stimuli,
+                                [copy.deepcopy(policy) for _ in stimuli],
+                                graph, fields, deform, episode_seeds)
+
+    paired_identical = all(
+        rec.phases["replay"].traj_hash == rec.phases["exposure"].traj_hash
+        for rec in episodes("paired"))
+    exp_stats, rep_stats = zip(*[
+        (sum(rec.phases["exposure"].sens), sum(rec.phases["replay"].sens))
+        for rec in episodes("independent")])
     from scipy import stats  # deferred: it takes about a second to import
     ks = stats.ks_2samp(exp_stats, rep_stats)
     result = {
@@ -176,7 +106,7 @@ def check_no_go(mdp: ToyMdp, policy: Policy | None = None, *,
         "stationary_holds": paired_identical and float(ks.pvalue) > alpha,
         "alpha": alpha,
     }
-    if mdp.xi_shift == 0 and not paired_identical:
+    if deform.mode == "off" and not paired_identical:
         raise ProtocolError(
             "stationary kernel produced divergent paired trajectories; "
             "the no-go hypothesis is violated by the implementation")
@@ -257,8 +187,10 @@ def check_odds_contraction(trials: int = 10_000, w_h: float = 2.0,
     subset. Half the trials place the levels exactly at h0 and h_star
     (equality regime); half spread safe levels below h0 and harmful levels
     above h_star. A shared uniform trace offset must cancel in the
-    normalization. Also checks the pinned two-destination closed form and
-    the zero-gap degenerate case.
+    normalization. The slack and `worst_excess` are relative to the bound,
+    which reaches about 3e4, where one ulp exceeds any fixed absolute
+    slack. Also checks the pinned two-destination closed form and the
+    zero-gap degenerate case.
     """
     rng = substream(seed, 33)
     def odds(n):
@@ -268,8 +200,8 @@ def check_odds_contraction(trials: int = 10_000, w_h: float = 2.0,
         p_nom, q_nom = _split(p0, harmful)
         return np.stack([p / q, np.exp(-w_h * (h_star - h0)) * p_nom / q_nom])
     ratio, bound = _blockwise(trials, odds)
-    worst = float((ratio - bound).max())
-    if np.any(ratio > bound + slack):
+    worst = float((ratio / bound - 1.0).max())
+    if np.any(ratio > bound * (1.0 + slack)):
         return {"holds": False, "worst_excess": worst, "trials": trials}
     # two equal-mass destinations at levels 0 and 1 with w_h = 2:
     # the deformed odds equal exp(-2) exactly
@@ -292,7 +224,8 @@ def check_odds_extension(trials: int = 10_000, w_h: float = 2.0,
 
     With per-destination traces, dG = max safe trace - min harmful trace
     bounds how much the trace term can favor harmful destinations:
-    odds' <= odds * exp(-w_h*(h_star-h0)) * exp(w_g * dG).
+    odds' <= odds * exp(-w_h*(h_star-h0)) * exp(w_g * dG), within a slack
+    relative to the bound, as in `check_odds_contraction`.
     """
     rng = substream(seed, 37)
     def odds(n):
@@ -305,8 +238,9 @@ def check_odds_extension(trials: int = 10_000, w_h: float = 2.0,
         return np.stack([p / q, np.exp(-w_h * (h_star - h0))
                          * np.exp(w_g * d_g) * p_nom / q_nom])
     ratio, bound = _blockwise(trials, odds)
-    return {"holds": not np.any(ratio > bound + slack),
-            "worst_excess": float((ratio - bound).max()), "trials": trials}
+    return {"holds": not np.any(ratio > bound * (1.0 + slack)),
+            "worst_excess": float((ratio / bound - 1.0).max()),
+            "trials": trials}
 
 
 def check_safe_mass(trials: int = 10_000, w_h: float = 2.0, seed: int = 0,
@@ -427,14 +361,13 @@ def run_all_checks(seed: int = 0) -> dict:
     """Positive checks plus negative controls; raises on any failure."""
     out = {}
     policy = make_toy_policy(seed)
-    out["no_go"] = check_no_go(make_toy_mdp(8, seed), policy, seed=seed)
+    out["no_go"] = check_no_go(DeformationSpec(mode="off"), policy, seed=seed)
     if not out["no_go"]["stationary_holds"]:
         raise ProtocolError("no-go check failed on a stationary kernel")
 
-    # negative control: a kernel reading the persistent counter must break
-    # the paired bit-equality
-    control = check_no_go(make_toy_mdp(8, seed, xi_shift=0.2), policy,
-                          seed=seed)
+    # negative control: RAPO's own kernel, which reads the persistent scar,
+    # must break the paired bit-equality
+    control = check_no_go(DeformationSpec(mode="full"), policy, seed=seed)
     out["no_go_negative_control"] = control
     if control["paired_identical"]:
         raise ProtocolError(

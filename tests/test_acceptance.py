@@ -6,6 +6,7 @@ once per session and shared by the criteria that read from it.
 
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -24,10 +25,12 @@ from replaylab.policies import Policy
 from replaylab.rng import substream
 from replaylab.rsd import RsdConfig, run_rsd_episodes
 from replaylab.verification import (check_compounding, check_no_go,
-                                    check_odds_contraction, check_safe_mass,
-                                    make_toy_mdp)
+                                    check_odds_contraction, check_safe_mass)
 
 OFF = DeformationSpec(mode="off")
+# sha256 of the full desk preset's report.csv, as perfbench's desk golden
+DESK_REPORT_SHA256 = \
+    "a71af73f73e184f0dbd2f050903041ecc1900d286f82f9250b34e1deac689d76"
 
 
 def _verdict(num, ok, detail):
@@ -58,7 +61,7 @@ def _episodes(cfg, make_policy, graph, seeds):
 
 
 def test_criterion_01_paired_replay_bit_identical():
-    toy = check_no_go(make_toy_mdp(8, seed=0), trials=200, seed=0)
+    no_go = check_no_go(OFF, seed=0)
     graph_ok = 0
     cfg = RsdConfig(t_exp=30, t_decay=10, t_rep=30, rng_mode="paired")
     for gseed in (1, 2, 3, 4):
@@ -67,8 +70,9 @@ def test_criterion_01_paired_replay_bit_identical():
                              graph, [1000 + ep for ep in range(50)]):
             graph_ok += (rec.phases["replay"].traj_hash
                          == rec.phases["exposure"].traj_hash)
-    ok = toy["paired_identical"] and graph_ok == 200
-    _verdict(1, ok, f"toy paired identical={toy['paired_identical']}, "
+    ok = no_go["paired_identical"] and graph_ok == 200
+    _verdict(1, ok, f"no-go check paired identical="
+                    f"{no_go['paired_identical']}, "
                     f"graph episodes identical={graph_ok}/200")
 
 
@@ -114,7 +118,9 @@ def test_criterion_03_theory_bounds_hold():
 
 
 def test_criterion_04_desk_suppression_separation(desk):
-    man, _, _ = desk
+    man, _, out = desk
+    report = (out / "report.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DESK_REPORT_SHA256
     o = man["outcomes"]
     vals = {m: {k: _means(o[m], k) for k in ("rag", "auc_r", "sm_r")}
             for m in ("ge", "pm_st", "rapo", "rapo_off_rep")}

@@ -52,6 +52,7 @@ def test_derive_revalidates_and_keeps_master_seed():
     ("training", "gae_lambda", -0.5),
     ("shield", "um_tolerance", -1.0),
     ("shield", "um_tolerance", 0.0),
+    ("shield", "theta", -1.0),
     ("graph", "nodes", 50.5),
     (None, "run_id", "../esc"),
     (None, "run_id", ""),
@@ -69,6 +70,14 @@ def test_bad_config_value_exits_two(tmp_path, capsys, section, key, value):
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert key in err[0] or section in err[0]
     assert not (tmp_path / "esc").exists()
+
+
+def test_negative_shield_theta_is_rejected():
+    # no rollout's mean sensitive mass is below a negative threshold, so
+    # every shielded step would silently fall back to the fail-safe
+    with pytest.raises(ConfigError, match="shield: theta must be >= 0"):
+        load_config({"shield": {"theta": -1.0}})
+    assert load_config({"shield": {"theta": 0.0}}).shield_params.theta == 0.0
 
 
 def test_repeated_graph_seed_is_rejected(tmp_path, capsys):

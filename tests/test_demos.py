@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["01_generate_graph.py",
                                   "02_fields_and_gating.py",
-                                  "03_three_phase_episode.py"])
+                                  "03_three_phase_episode.py",
+                                  "06_theory_checks.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

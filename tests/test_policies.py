@@ -47,7 +47,7 @@ def test_scripted_one_hot_and_uniform_draw_count():
 
 def test_categorical_draws_as_rng_choice():
     # same index as rng.choice(len(p), p=p), and the stream left where
-    # rng.choice leaves it, for action-sized and toy-chain-sized rows
+    # rng.choice leaves it, for action-sized and 8-entry rows
     dists = substream(0, 55)
     ours, theirs = substream(0, 56), substream(0, 56)
     for i in range(3000):

@@ -2,18 +2,19 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from replaylab import deformation, verification
+from replaylab import deformation, graph_env, rsd, verification
+from replaylab.deformation import DeformationSpec
 from replaylab.errors import ProtocolError
-from replaylab.rng import categorical, substream
-from replaylab.verification import (ToyMdp, check_compounding,
+from replaylab.verification import (check_compounding,
                                     check_compounding_chain, check_no_go,
                                     check_odds_contraction,
                                     check_odds_extension, check_safe_mass,
-                                    clipping_relaxation_demo, make_toy_mdp,
+                                    clipping_relaxation_demo,
                                     make_toy_policy, run_all_checks)
+
+OFF, FULL = DeformationSpec(mode="off"), DeformationSpec(mode="full")
 
 
 def test_run_all_checks_passes():
@@ -30,33 +31,32 @@ def test_run_all_checks_passes():
 
 
 def test_no_go_negative_control_breaks_pairing():
-    shifted = make_toy_mdp(8, seed=1, xi_shift=0.3)
-    res = check_no_go(shifted, trials=50, seed=1)
+    # RAPO's kernel reads the scar that exposure left behind
+    res = check_no_go(FULL, trials=10, seed=1)
     assert not res["paired_identical"]
 
 
 def test_no_go_requires_frozen_policy():
     from replaylab.policies import Policy
     with pytest.raises(ProtocolError):
-        check_no_go(make_toy_mdp(8, 0), Policy(kind="softmax"), trials=2)
+        check_no_go(OFF, Policy(kind="softmax"), trials=2)
 
 
-def test_no_go_rejects_longer_replay():
-    with pytest.raises(ValueError):
-        check_no_go(make_toy_mdp(8, 0), t_exp=10, t_rep=20)
+def test_no_go_needs_two_trials():
+    with pytest.raises(ValueError, match="trials >= 2"):
+        check_no_go(OFF, trials=1)
 
 
-def test_toy_kernel_validation():
-    bad = np.array([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        ToyMdp(kernel=bad, harmful=np.array([False, True]))
-    with pytest.raises(ValueError):
-        ToyMdp(kernel=np.eye(2), harmful=np.array([False]))
-    with pytest.raises(ValueError):
-        ToyMdp(kernel=np.array([[1.5, -0.5], [0.5, 0.5]]),
-               harmful=np.array([False, True]))
-    with pytest.raises(ValueError):
-        ToyMdp(kernel=np.eye(100), harmful=np.zeros(100, dtype=bool))
+def test_no_go_runs_the_shipped_kernel(monkeypatch):
+    # a stationary arm whose step reads the persistent fields must fail
+    # the check, so the check steps the library's runner, not a private
+    # model
+    def scarred(batch, actions, graph, fields, deform, rngs, params):
+        return graph_env.env_steps(batch, actions, graph, fields,
+                                   deform.with_mode("full"), rngs, params)
+    monkeypatch.setattr(rsd, "env_steps", scarred)
+    with pytest.raises(ProtocolError, match="divergent paired"):
+        check_no_go(OFF, trials=10, seed=0)
 
 
 def test_odds_contraction_pinned_values():
@@ -89,11 +89,9 @@ def test_clipping_voids_the_guarantee():
 
 
 def test_toy_policy_action_dependence():
-    # different frozen policies induce different visit distributions on an
-    # action-dependent kernel
-    mdp = make_toy_mdp(8, seed=5)
-    a = check_no_go(mdp, make_toy_policy(1), trials=60, seed=5)
-    b = check_no_go(mdp, make_toy_policy(2), trials=60, seed=5)
+    # the check holds for any frozen policy, whatever actions it favours
+    a = check_no_go(OFF, make_toy_policy(1), trials=20, seed=5)
+    b = check_no_go(OFF, make_toy_policy(2), trials=20, seed=5)
     assert a["stationary_holds"] and b["stationary_holds"]
 
 
@@ -112,12 +110,13 @@ def test_clipped_conductance_is_refused():
         check_odds_contraction(trials=50, w_h=1000)
 
 
-def test_toy_rollout_draws_as_sample_action():
-    mdp, policy = make_toy_mdp(8, seed=6), make_toy_policy(6)
-    states, actions, _ = mdp.rollout(policy, 30, 0, substream(6, 31, 0))
-    s, rng = 0, substream(6, 31, 0)
-    policy.reset_memory()
-    for t in range(30):
-        a = policy.sample_action(mdp.observation(s, t, 30), None, rng)
-        s = categorical(mdp.row(s, a, 0).tolist(), rng)
-        assert (states[t], actions[t]) == (s, a)
+@pytest.mark.parametrize("check", [check_odds_contraction,
+                                   check_odds_extension])
+def test_odds_checks_hold_over_seeds(check):
+    # the slack is relative: with bounds up to about 3e4, an absolute
+    # slack of 1e-12 is below one ulp, and rounding alone failed seeds
+    # 14 and 28 of the contraction check
+    for seed in range(30):
+        out = check(seed=seed)
+        assert out["holds"], (seed, out)
+        assert out["worst_excess"] <= 1e-12
