@@ -22,7 +22,7 @@ from .graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                         nominal_rollouts)
 from .harm_memory import HarmFields
 from .metrics import discounted_return, episode_metrics, welch_ttest
-from .policies import Policy
+from .policies import N_ACTIONS, Policy
 from .rng import substream
 from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episodes
 from .training import (Batch, TrainerState, check_finite, dual_update,
@@ -67,7 +67,8 @@ class ShieldedPolicy(Policy):
 
     It takes over `base`'s state (weights, window memory, frozen flag), so
     features and memory are the base policy's own. `rsd.agent_step` binds
-    the current environment state before each evaluation.
+    the current environment state before each evaluation; the filter's
+    allowed actions are then the policy's action mask.
     """
 
     def __init__(self, base: Policy, graph: DiffusionGraph,
@@ -77,25 +78,21 @@ class ShieldedPolicy(Policy):
         self.params = params
         self.env_params = env_params
         self.mc_rng = substream(mc_seed, 14)
-        self._allowed_actions = None
+        self._mask = None
 
     def bind_env_state(self, state, fields, deform):
         # one filter evaluation per environment step, reused by every
         # distribution query until the next bind
-        self._allowed_actions, _ = shield_filter(
+        allowed, _ = shield_filter(
             state, self.graph, self.params.theta, self.params.n_mc,
             self.params.horizon, self.mc_rng, self.env_params)
+        self._mask = np.zeros(N_ACTIONS)
+        self._mask[allowed] = 1.0
 
-    def action_distribution(self, features):
-        if self._allowed_actions is None:
+    def action_mask(self):
+        if self._mask is None:
             raise ProtocolError("shield evaluated without a bound env state")
-        dist = super().action_distribution(features)
-        mask = np.zeros_like(dist)
-        mask[self._allowed_actions] = 1.0
-        gated = dist * mask
-        if gated.sum() <= 0:
-            gated = mask
-        return gated / gated.sum()
+        return self._mask
 
 
 def tune_shield_um(evaluate, target_replay_ret: float, tolerance: float = 0.05,

@@ -70,7 +70,8 @@ def conductance(regions, fields, spec: DeformationSpec) -> np.ndarray:
     if spec.mode == "off":
         return np.ones(regions.shape, dtype=float)
     expo = -spec.w_G * fields.G[regions] - spec.w_H * fields.H[regions]
-    return np.clip(np.exp(expo), spec.psi_min, 1.0)
+    # np.clip's result, without its argument handling
+    return np.minimum(np.maximum(np.exp(expo), spec.psi_min), 1.0)
 
 
 def segment_sums(values: np.ndarray, counts) -> np.ndarray:

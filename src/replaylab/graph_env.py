@@ -471,7 +471,7 @@ def observe_batch(batch: EnvBatch, graph: DiffusionGraph, t_phase: int,
     count = seen.sum(axis=1)
     per = np.maximum(count, 1)
     centroid = np.where(seen, dist, 0).sum(axis=1) / per
-    dev = dist[seen] - np.repeat(centroid, count)
+    dev = dist[seen] - centroid.repeat(count)
     obs = np.empty((len(count), 4))
     obs[:, 0] = batch.active.sum(axis=1) / graph.node_count
     obs[:, 1] = centroid
@@ -510,7 +510,9 @@ class BatchStep:
 
 def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,
                     src_mask: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(src_mask[src] & ~active[dst])
+    # the step path calls the array methods, not np.flatnonzero or
+    # np.zeros_like, whose wrappers cost more than the work on small graphs
+    return (src_mask[src] & ~active[dst]).nonzero()[0]
 
 
 def frontier_mask(batch: EnvBatch, graph: DiffusionGraph,
@@ -520,7 +522,7 @@ def frontier_mask(batch: EnvBatch, graph: DiffusionGraph,
     that activated on the previous step."""
     src, dst, _ = _copies(graph, len(batch.active))
     active = batch.active.ravel()
-    mask = np.zeros_like(active)
+    mask = np.zeros(active.shape, dtype=bool)
     mask[dst[_frontier_edges(src, dst, active,
                              active if refire else batch.newly.ravel())]] = True
     return mask.reshape(batch.active.shape)
@@ -540,7 +542,7 @@ def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     out-edges are tried once, on the step after it activates. Returns the
     new active and newly arrays, the frontier's edges and their
     probabilities."""
-    new = np.zeros_like(active)
+    new = np.zeros(active.shape, dtype=bool)
     new[injected] = True
     new &= ~active
     active = active | new
@@ -597,18 +599,20 @@ def _injection_table(graph: DiffusionGraph, seeds: np.ndarray,
                          deform.mode, deform.k, deform.local_regions), build)
 
 
-def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi: np.ndarray,
+def _stimulus_law(graph: DiffusionGraph, seeds: np.ndarray, psi_at,
                   deform: DeformationSpec, action: Action):
     """(nodes, cdf) rows of a step's injection draws: the rows of
-    `_injection_table`, reweighted in one pass by psi at their gated
-    entries, with their CDFs as `rng.choice` computes them (cumsum, then
-    divided by the last entry) and padded with 2.0. Every row equals its
-    `apply_mode` result taken alone, bit for bit: a padded entry adds
+    `_injection_table`, reweighted in one pass by the conductance at their
+    gated entries, with their CDFs as `rng.choice` computes them (cumsum,
+    then divided by the last entry) and padded with 2.0. `psi_at(nodes)`
+    gives the conductance at an array of nodes; it is called once, at the
+    table's nodes, and only when the law is reweighted. Every row equals
+    its `apply_mode` result taken alone, bit for bit: a padded entry adds
     0.0 to its row's cumsum, so the last column holds each row's total."""
     table = _injection_table(graph, seeds, deform, action)
     if deform.mode == "off" or not table.nodes.size:
         return table.nodes, table.off_cdf
-    psi = psi[table.nodes]
+    psi = psi_at(table.nodes)
     if table.gated is not None:
         psi = np.where(table.gated, psi, 1.0)
     c = np.add.accumulate(reweight_rows(table.nominal, psi, table.sizes,
@@ -676,10 +680,11 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
             if action != Action.CONSERVATIVE:
                 injected.append(seeds[b])
             if action != Action.MODERATE:
-                psi = conductance(np.arange(n), HarmFields(
-                    G=fields.G[b], H=fields.H[b], params=fp), deform)
-                law = _stimulus_law(graph, seeds[b] - b * n, psi, deform,
-                                    Action(action))
+                own = HarmFields(G=fields.G[b], H=fields.H[b], params=fp)
+                law = _stimulus_law(
+                    graph, seeds[b] - b * n,
+                    lambda nodes: conductance(nodes, own, deform), deform,
+                    Action(action))
                 injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
 
     # cascade diffusion over frontier edges, gated by destination conductance
@@ -716,7 +721,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
         first = np.empty(sens.size, dtype=bool)
         first[0] = True
         np.not_equal(copy[1:], copy[:-1], out=first[1:])
-        start = np.flatnonzero(first)
+        start = first.nonzero()[0]
         q_g = np.multiply.reduceat(1.0 - p_eff[to_sens], start)
         q_0 = np.multiply.reduceat(1.0 - p_nominal[sens], start)
         rows = copy[start]
@@ -733,7 +738,7 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
     reward -= [params.action_costs[a] for a in actions]
 
     buf = deque(batch.delay_buffer, maxlen=batch.delay_buffer.maxlen)
-    buf.append(np.flatnonzero(active))
+    buf.append(active.ravel().nonzero()[0])
     new_batch = EnvBatch(active=active, newly=newly.reshape(b_count, n),
                          time=batch.time + 1, phase_time=batch.phase_time + 1,
                          stimuli=batch.stimuli, stimulus_on=batch.stimulus_on,

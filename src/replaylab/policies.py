@@ -18,21 +18,23 @@ import numpy as np
 from .deformation import DeformationSpec, conductance, segment_sums
 from .errors import ProtocolError
 from .harm_memory import HarmFields
-from .rng import categorical
+from .rng import categorical_rows
 
 __all__ = ["Policy", "N_ACTIONS", "OBS_DIM", "FIELD_FEATURE_DIM",
-           "field_features", "field_features_batch", "softmax"]
+           "field_features", "field_features_batch", "softmax", "act",
+           "batch_features", "batch_distributions"]
 
 N_ACTIONS = 3
 OBS_DIM = 4
 FIELD_FEATURE_DIM = 5
-_BIAS = np.ones(1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax along the last axis: of a logit vector, or of each row."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def field_features(fields: HarmFields, deform: DeformationSpec,
@@ -61,10 +63,92 @@ def field_features_batch(fields: HarmFields, deform: DeformationSpec,
     if count.any():
         flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
                           params=fields.params)
-        psi = segment_sums(conductance(np.flatnonzero(frontier), flat, deform),
-                           count)
+        regions = frontier.ravel().nonzero()[0]
+        psi = segment_sums(conductance(regions, flat, deform), count)
         np.divide(psi, count, out=out[:, 4], where=count > 0)
     return out
+
+
+def batch_features(policies, obs: np.ndarray,
+                   field_summary: np.ndarray | None = None) -> np.ndarray:
+    """`Policy.features` of B policies of one structure (see `act`), one
+    row per policy: the (B, 4) observations, each window's past
+    observations (most recent first, zero-padded), the (B, 5) field
+    summaries for augmented policies, and the bias."""
+    head = policies[0]
+    x = np.zeros((len(policies), head.feature_dim))
+    x[:, :OBS_DIM] = obs
+    if head.window > 1:
+        for row, p in zip(x, policies):
+            for i, past in enumerate(reversed(p._memory), start=1):
+                row[i * OBS_DIM:(i + 1) * OBS_DIM] = past
+    if head.feature_mode == "augmented":
+        if field_summary is None:
+            raise ValueError("augmented policy requires field_summary")
+        x[:, head.window * OBS_DIM:-1] = field_summary
+    x[:, -1] = 1.0
+    return x
+
+
+def batch_distributions(policies, features: np.ndarray | None) -> np.ndarray:
+    """`Policy.action_distribution` of B policies of one structure (see
+    `act`), one (B, 3) row per policy. A scripted row is one-hot and reads
+    no features (`features` may be None); a softmax or window row is the
+    softmax of its own weights times its row of the (B, F) features. A
+    policy with an action mask (the shield) keeps the masked part of its
+    row, renormalised, or the uniform row over the mask when that part has
+    no mass. Each row equals the one-policy evaluation bit for bit: the
+    stacked product computes each row as `W @ x` does (`X @ W.T` does
+    not)."""
+    b_count = len(policies)
+    if policies[0].kind == "scripted":
+        dists = np.zeros((b_count, N_ACTIONS))
+        dists[np.arange(b_count), [p.scripted_action for p in policies]] = 1.0
+    else:
+        w = np.array([p.weights for p in policies])
+        dists = softmax(np.matmul(w, features[:, :, None])[..., 0])
+    masked = [(b, m) for b, p in enumerate(policies)
+              if (m := p.action_mask()) is not None]
+    if masked:
+        rows, masks = zip(*masked)
+        rows, masks = list(rows), np.array(masks)
+        gated = dists[rows] * masks
+        empty = np.add.reduce(gated, axis=1) <= 0
+        gated[empty] = masks[empty]
+        dists[rows] = gated / np.add.reduce(gated, axis=1, keepdims=True)
+    return dists
+
+
+def _one_row(obs, field_summary):
+    # one policy's inputs as the one-row batch of `act`
+    return (np.asarray(obs, dtype=float)[None],
+            None if field_summary is None else np.asarray(field_summary)[None])
+
+
+def act(policies, obs: np.ndarray | None,
+        field_summary: np.ndarray | None, rngs):
+    """One step of B policies as one array pass: their features (None for
+    scripted policies, which read no observation, so `obs` may then be
+    None), their (B, 3) action distributions, and one draw per policy from
+    its own generator (`rng.categorical_rows`). Then each window policy
+    remembers its observation. The policies must share one kind, feature
+    mode and window (weights and scripted actions may differ); ValueError
+    otherwise. Returns the actions (a list), the distributions and the
+    features."""
+    head = policies[0]
+    structure = (head.kind, head.feature_mode, head.window)
+    if any((p.kind, p.feature_mode, p.window) != structure
+           for p in policies[1:]):
+        raise ValueError("a policy batch needs one (kind, feature_mode, "
+                         "window) for all its policies")
+    x = None if head.kind == "scripted" else \
+        batch_features(policies, obs, field_summary)
+    dists = batch_distributions(policies, x)
+    actions = categorical_rows(dists, rngs).tolist()
+    if head.window > 1:
+        for p, o in zip(policies, obs):
+            p.remember(o)
+    return actions, dists, x
 
 
 class Policy:
@@ -115,39 +199,24 @@ class Policy:
     def features(self, obs: np.ndarray,
                  field_summary: np.ndarray | None = None) -> np.ndarray:
         """Assemble the linear feature vector for the current step."""
-        if self.feature_mode == "augmented" and field_summary is None:
-            raise ValueError("augmented policy requires field_summary")
-        parts = [np.asarray(obs, dtype=float)]
-        if self.window > 1:
-            hist = list(self._memory)
-            # most recent first, zero-padded up to window-1 past observations
-            for i in range(self.window - 1):
-                if i < len(hist):
-                    parts.append(hist[-(i + 1)])
-                else:
-                    parts.append(np.zeros(OBS_DIM))
-        if self.feature_mode == "augmented":
-            parts.append(np.asarray(field_summary, dtype=float))
-        parts.append(_BIAS)
-        return np.concatenate(parts)
+        return batch_features([self], *_one_row(obs, field_summary))[0]
 
     # -- evaluation --------------------------------------------------------
 
     def action_distribution(self, features: np.ndarray) -> np.ndarray:
         """Distribution over actions at a vector built by `Policy.features`."""
-        if self.kind == "scripted":
-            dist = np.zeros(N_ACTIONS)
-            dist[self.scripted_action] = 1.0
-            return dist
-        return softmax(self.weights @ features)
+        return batch_distributions([self], np.asarray(features)[None])[0]
+
+    def action_mask(self) -> np.ndarray | None:
+        """The actions allowed at the bound state as a 0/1 row over the
+        actions, or None when every action is allowed."""
+        return None
 
     def sample_action(self, obs: np.ndarray, field_summary: np.ndarray | None,
                       rng: np.random.Generator) -> int:
         """Draw an action (one uniform, whatever the kind) and remember obs."""
-        dist = self.action_distribution(self.features(obs, field_summary))
-        action = categorical(dist.tolist(), rng)
-        self.remember(obs)
-        return action
+        actions, _, _ = act([self], *_one_row(obs, field_summary), [rng])
+        return actions[0]
 
     def remember(self, obs: np.ndarray) -> None:
         """Push obs into the history window (memory is not weights, so a

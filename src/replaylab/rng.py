@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["substream", "categorical"]
+__all__ = ["substream", "categorical", "categorical_rows"]
 
 
 def substream(*key: int) -> np.random.Generator:
@@ -31,3 +31,15 @@ def categorical(p, rng: np.random.Generator) -> int:
     checks cost more than a scripted policy's evaluation)."""
     cdf = list(accumulate(p))
     return bisect_right([c / cdf[-1] for c in cdf], rng.random())
+
+
+def categorical_rows(p: np.ndarray, rngs) -> np.ndarray:
+    """`categorical` of each row of the (B, K) probabilities `p`, row b
+    with one uniform from `rngs[b]`: the count of the row's CDF entries
+    (cumsum, then divided by its last entry) that are <= the uniform. Row
+    b picks what `categorical(p[b].tolist(), rngs[b])` picks, and leaves
+    `rngs[b]` where it leaves it."""
+    u = np.array([r.random() for r in rngs])[:, None]
+    cdf = np.add.accumulate(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.add.reduce(cdf <= u, axis=1)

@@ -24,8 +24,8 @@ from .graph_env import (N_STIMULI, Action, BatchStep, DiffusionGraph,
                         EnvBatch, EnvParams, env_step, env_steps,
                         frontier_mask, observe_batch, stimulus_rows)
 from .harm_memory import HarmFields, attribute_harm, update_scar
-from .policies import Policy, field_features_batch
-from .rng import categorical, substream
+from .policies import Policy, act, field_features_batch
+from .rng import substream
 
 __all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "agent_step",
            "run_rsd_episode", "run_rsd_episodes", "scar_evolution"]
@@ -229,29 +229,26 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     and training (which runs one copy).
 
     `fields` holds the (B, N) fields; copy b has its own policy and
-    generator. Per copy it binds the state to a policy that asks for it
-    (the shield), evaluates the policy once on the copy's row of the
-    batched observation (features, then distribution), draws the action
-    (`categorical`) and pushes the observation into the policy's memory.
-    Then all copies step together and the harm fields update.
-    Returns the BatchStep, the new fields, and per copy the action, its
-    distribution (a list) and the features.
+    generator, and the policies share one kind, feature mode and window.
+    Per copy it binds the state to a policy that asks for it (the shield).
+    Then all policies act in one array pass (`policies.act`) on the
+    batched observations, built only when the policies read them (a
+    scripted policy does not), and all copies step together and the harm
+    fields update. Returns the BatchStep, the new fields, the actions (a
+    list), the (B, 3) distributions and the (B, F) features (None for
+    scripted policies).
     """
     for b, policy in enumerate(policies):
         bind = getattr(policy, "bind_env_state", None)
         if bind is not None:
             bind(batch.episode(b), _copy_fields(fields, b), deform)
-    obs = observe_batch(batch, graph, t_phase, env_params)
-    fs = [None] * len(policies)
-    if any(p.feature_mode == "augmented" for p in policies):
-        fs = field_features_batch(
-            fields, deform, frontier_mask(batch, graph, env_params.refire))
-    actions, dists, feats = [], [], []
-    for policy, rng, o, f in zip(policies, rngs, obs, fs):
-        feats.append(policy.features(o, f))
-        dists.append(policy.action_distribution(feats[-1]).tolist())
-        actions.append(categorical(dists[-1], rng))
-        policy.remember(o)
+    obs = summary = None
+    if policies[0].kind != "scripted":
+        obs = observe_batch(batch, graph, t_phase, env_params)
+        if policies[0].feature_mode == "augmented":
+            summary = field_features_batch(
+                fields, deform, frontier_mask(batch, graph, env_params.refire))
+    actions, dists, feats = act(policies, obs, summary, rngs)
     if len(policies) == 1:
         res = env_step(batch.episode(0), Action(actions[0]), graph,
                        _copy_fields(fields, 0), deform, rngs[0], env_params)
@@ -290,6 +287,7 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
         "sens": (active & graph.sensitive).sum(axis=2),
         "rewards": np.stack(rewards),
         "actions": actions,
+        "action_dists": np.stack(dists),            # (T, B, 3)
         "odds": np.stack(odds),
         "radius": np.maximum.accumulate(np.stack(radius), axis=0),
         "g_sum": np.stack(g_sum),
@@ -300,9 +298,12 @@ def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
     series = []
     for b in range(len(policies)):
         s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
-        s.action_dists = [d[b] for d in dists]
-        s.scar_top = [list(zip(rs[:k], vs[:k])) for rs, vs, k in zip(
-            top[:, b].tolist(), top_h[:, b].tolist(), positive[:, b].tolist())]
+        # the copy's (region, H) pairs in one zip, then each step's
+        # first k, the positive ones
+        pairs = list(zip(top[:, b].ravel().tolist(),
+                         top_h[:, b].ravel().tolist()))
+        s.scar_top = [pairs[i:i + k] for i, k in zip(
+            range(0, len(pairs), top.shape[2]), positive[:, b].tolist())]
         # the hash of each step's active set bytes, then its action byte
         rows = np.concatenate([active[:, b].view(np.uint8),
                                actions[:, b, None]], axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError
-from .policies import Policy
+from .policies import Policy, softmax
 
 __all__ = ["TrainerState", "Batch", "train_epoch", "dual_update",
            "gae_advantages", "surrogate_loss_and_grad", "ss_penalty_update",
@@ -82,10 +82,7 @@ def surrogate_loss_and_grad(weights: np.ndarray, feats: np.ndarray,
                             actions: np.ndarray, adv: np.ndarray,
                             old_logp: np.ndarray, clip: float):
     """Clipped-surrogate objective (to maximize) and its weight gradient."""
-    logits = feats @ weights.T                      # (T, A)
-    logits = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax(feats @ weights.T)              # (T, A)
     t_idx = np.arange(actions.size)
     logp = np.log(probs[t_idx, actions])
     ratio = np.exp(logp - old_logp)

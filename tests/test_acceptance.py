@@ -17,7 +17,7 @@ from replaylab.baselines import method_config, run_method_suite
 from replaylab.cli import main as cli_main
 from replaylab.config import desk_preset, load_config
 from replaylab.deformation import DeformationSpec, conductance, gate_edge_prob, \
-    reweight_categorical
+    reweight_rows
 from replaylab.graph_env import generate_graph
 from replaylab.harm_memory import FieldParams, HarmFields, attribute_harm, \
     update_scar
@@ -200,15 +200,27 @@ def test_criterion_08_replay_return_and_gate_sweep(desk, tmp_path):
 
 
 def test_criterion_09_reweighting_exactness():
+    # 1e5 categoricals of 2-5 entries, drawn one at a time in stream order
+    # and reweighted in blocks of rows, zero-padded to 5 entries; each row
+    # is reweighted as reweight_categorical reweights it alone, and its
+    # padding adds 0.0 to its sum
     rng = substream(0, 70)
     worst = 0.0
-    for _ in range(100_000):
-        m = int(rng.integers(2, 6))
-        nominal = rng.dirichlet(np.ones(m))
-        nominal = nominal / nominal.sum()
-        psi = rng.uniform(0.01, 1.0, size=m)
-        out = reweight_categorical(nominal, psi)
-        worst = max(worst, abs(float(out.sum()) - 1.0))
+    block, width = 10_000, 5
+    for _ in range(100_000 // block):
+        nominal, psi = np.zeros((block, width)), np.ones((block, width))
+        sizes = np.empty(block, dtype=np.int64)
+        for j in range(block):
+            m = sizes[j] = int(rng.integers(2, 6))
+            row = rng.dirichlet(np.ones(m))
+            nominal[j, :m] = row / row.sum()
+            psi[j, :m] = rng.uniform(0.01, 1.0, size=m)
+        # each row is a distribution, as reweight_categorical checks
+        assert np.all(np.abs(nominal.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(nominal >= 0)
+        out = reweight_rows(nominal, psi, sizes,
+                            np.arange(width) < sizes[:, None])
+        worst = max(worst, float(np.abs(out.sum(axis=1) - 1.0).max()))
         if worst > 1e-12:
             break
     # conductance respects the clip bounds; gated never exceeds nominal

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from replaylab.config import desk_preset, load_config
-from replaylab.deformation import DeformationSpec, apply_mode, gated_entries
+from replaylab.deformation import (DeformationSpec, apply_mode, conductance,
+                                   gated_entries)
 from replaylab.graph_env import (Action, DiffusionGraph, EnvBatch, EnvParams,
                                  _stimulus_law, edge_gate_mask, env_step,
                                  env_steps, generate_graph, initial_state,
@@ -436,28 +437,61 @@ def test_stimulus_law_equals_row_by_row(spec, action):
             psi = rng.uniform(0.01, 1.0, graph.node_count)
             psi[rng.random(graph.node_count) < 0.2] = 1.0
             psi[rng.random(graph.node_count) < 0.1] = 0.01
-            nodes, cdf = _stimulus_law(graph, seeds, psi, spec, action)
+            nodes, cdf = _stimulus_law(graph, seeds, psi.__getitem__, spec,
+                                       action)
             want_nodes, want_cdf = _row_by_row_law(graph, seeds, psi, spec,
                                                    action)
             assert np.array_equal(nodes, want_nodes)
             assert np.array_equal(cdf, want_cdf)
     # the Aggressive law of seeds without out-edges is empty
-    empty = _stimulus_law(wide, np.array([16, 17, 18]), np.ones(20), spec,
-                          Action.AGGRESSIVE)
+    empty = _stimulus_law(wide, np.array([16, 17, 18]),
+                          np.ones(20).__getitem__, spec, Action.AGGRESSIVE)
     assert empty[0].shape == empty[1].shape == (0, 0)
+
+
+@pytest.mark.parametrize("spec", _LAW_SPECS,
+                         ids=["full", "off", "topk1", "topk2", "local"])
+def test_stimulus_law_reads_psi_at_table_nodes_only(spec):
+    # env_steps computes the conductance only at the injection table's
+    # nodes; on desk graph 1's seed sets the law equals the one built from
+    # the conductance of every node, bit for bit
+    desk = _DESK.graph(1)
+    n = desk.node_count
+    rng = np.random.default_rng(9)
+    for z in range(1, 21):
+        seeds = stimulus_seed_set(z, desk, _DESK.env_params.k_seed,
+                                  _DESK.env_params.seed_pool)
+        for draw in range(3):
+            # scars on some regions, some at the psi_min floor, some none
+            fields = HarmFields(
+                G=rng.uniform(0, 3, n) * (rng.random(n) < 0.5),
+                H=rng.uniform(0, 3, n) * (rng.random(n) < 0.3),
+                params=_DESK.field_params)
+            every = conductance(np.arange(n), fields, spec)
+
+            def at_nodes(nodes):
+                return conductance(nodes, fields, spec)
+
+            for action in (Action.AGGRESSIVE, Action.CONSERVATIVE):
+                want = _stimulus_law(desk, seeds, every.__getitem__, spec,
+                                     action)
+                got = _stimulus_law(desk, seeds, at_nodes, spec, action)
+                assert [a.tobytes() for a in got] == \
+                    [a.tobytes() for a in want]
 
 
 def test_stimulus_law_checks_psi_on_every_call():
     g = _wide_graph()
     seeds = np.array([0, 1])
     psi = np.ones(20)
-    _stimulus_law(g, seeds, psi, DeformationSpec(), Action.AGGRESSIVE)
+    psi_at = psi.__getitem__
+    _stimulus_law(g, seeds, psi_at, DeformationSpec(), Action.AGGRESSIVE)
     psi[3] = 1.5
     with pytest.raises(ValueError, match=r"psi entries must lie in \(0, 1\]"):
-        _stimulus_law(g, seeds, psi, DeformationSpec(), Action.AGGRESSIVE)
+        _stimulus_law(g, seeds, psi_at, DeformationSpec(), Action.AGGRESSIVE)
     # an entry the mode does not gate is not checked, as in apply_mode
     topk = DeformationSpec(mode="topk", k=1)
-    _stimulus_law(g, seeds, psi, topk, Action.AGGRESSIVE)
+    _stimulus_law(g, seeds, psi_at, topk, Action.AGGRESSIVE)
 
 
 @pytest.mark.parametrize("action,uniforms", [(Action.AGGRESSIVE, 0),

@@ -169,11 +169,14 @@ def test_welch_ttest_directions():
 
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; only the Welch test and
-    # the no-go check load it, when they run
+    # the no-go check load it, when they run. Importing the package and
+    # loading a config (every entry point's set-up) loads no scipy module
     import replaylab
     src = os.path.dirname(os.path.dirname(replaylab.__file__))
     code = ("import sys, replaylab; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "from replaylab.config import desk_preset, load_config; "
+            "load_config(desk_preset()); "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from replaylab.errors import ProtocolError
-from replaylab.policies import N_ACTIONS, OBS_DIM, Policy, softmax
+from replaylab.policies import N_ACTIONS, OBS_DIM, Policy, act, softmax
 from replaylab.rng import categorical, substream
 from replaylab.training import (Batch, TrainerState, check_finite,
                                 dual_update, gae_advantages,
@@ -69,6 +69,119 @@ def test_sampling_frequencies_match_distribution():
     for a in range(N_ACTIONS):
         se = (dist[a] * (1 - dist[a]) / n) ** 0.5
         assert abs(counts[a] / n - dist[a]) <= 3 * max(se, 1e-3)
+
+
+class _Masked(Policy):
+    """`base` with a fixed action mask, as a shield has one after a bind."""
+
+    def __init__(self, base, mask):
+        vars(self).update(vars(base))
+        self.mask = np.array(mask, dtype=float)
+
+    def action_mask(self):
+        return self.mask
+
+
+def _batch_case(case):
+    """(policies, augmented) for one batch of `test_act_equals_one_row`."""
+    if case == "scripted-1":
+        return [Policy(kind="scripted", scripted_action=2)], False
+    if case == "scripted-mixed":
+        return [Policy(kind="scripted", feature_mode="augmented",
+                       scripted_action=a) for a in (0, 1, 2, 2, 0)], False
+    if case == "softmax-1":
+        return [Policy(kind="softmax", feature_mode="augmented", seed=3)], True
+    if case == "softmax-per-copy":
+        # weights large enough that the draws spread over the actions
+        return [Policy(kind="softmax", feature_mode="augmented",
+                       weights=substream(1, s).normal(size=(3, 10)))
+                for s in range(6)], True
+    if case == "window":
+        return [Policy(kind="window", window=3,
+                       weights=substream(2, s).normal(size=(3, 13)))
+                for s in range(4)], False
+    # logits 800 apart put all of a row's mass on one action (the others
+    # underflow to 0), so a mask without that action leaves no mass
+    policies = []
+    for b, (top, mask) in enumerate([(0, (0, 1, 1)), (1, (1, 0, 1)),
+                                     (2, (1, 1, 1)), (0, (1, 0, 0)),
+                                     (1, (0, 0, 1)), (2, (0, 1, 0))]):
+        w = substream(3, b).normal(size=(3, 5))
+        w[top, -1] += 800.0
+        policies.append(_Masked(Policy(kind="softmax", weights=w), mask))
+    policies.append(Policy(kind="softmax", weights=substream(3, 9).normal(
+        size=(3, 5))))
+    return policies, False
+
+
+def _reference_dist(policy, x, mask):
+    # the one-row reference: softmax(W @ x), then the shield's mask
+    if policy.kind == "scripted":
+        dist = np.zeros(N_ACTIONS)
+        dist[policy.scripted_action] = 1.0
+    else:
+        logits = policy.weights @ x
+        e = np.exp(logits - logits.max())
+        dist = e / e.sum()
+    if mask is not None:
+        gated = dist * mask
+        if gated.sum() <= 0:
+            gated = mask
+        dist = gated / gated.sum()
+    return dist
+
+
+@pytest.mark.parametrize("case", ["scripted-1", "scripted-mixed", "softmax-1",
+                                  "softmax-per-copy", "window", "shielded"])
+def test_act_equals_one_row(case):
+    # over several steps, the batch pass gives every copy the features,
+    # distribution and action of its one-row evaluation, bit for bit, and
+    # leaves its generator where `categorical` leaves it
+    policies, augmented = _batch_case(case)
+    b_count = len(policies)
+    rngs = [substream(4, b) for b in range(b_count)]
+    ref_rngs = [substream(4, b) for b in range(b_count)]
+    past = [[] for _ in policies]
+    inputs = substream(5, b_count)
+    zero_mass = 0
+    for _ in range(6):
+        obs = inputs.uniform(size=(b_count, OBS_DIM))
+        summary = inputs.uniform(0, 20, size=(b_count, 5)) if augmented \
+            else None
+        actions, dists, x = act(policies, obs, summary, rngs)
+        for b, p in enumerate(policies):
+            window = p.window - 1
+            row = np.concatenate(
+                [obs[b], *past[b][::-1][:window],
+                 *[np.zeros(OBS_DIM)] * (window - len(past[b])),
+                 *([summary[b]] if augmented else []), [1.0]])
+            mask = p.action_mask()
+            want = _reference_dist(p, row, mask)
+            if p.kind == "scripted":
+                assert x is None
+            else:
+                assert x[b].tobytes() == row.tobytes()
+            assert dists[b].tobytes() == want.tobytes()
+            assert actions[b] == categorical(want.tolist(), ref_rngs[b])
+            assert rngs[b].bit_generator.state == \
+                ref_rngs[b].bit_generator.state
+            past[b].append(obs[b])
+            if mask is not None:
+                zero_mass += not (_reference_dist(p, row, None) * mask).any()
+    if case == "shielded":
+        assert zero_mass >= 6 * 4
+    if case in ("scripted-mixed", "softmax-per-copy"):
+        assert len(set(actions)) > 1
+
+
+def test_act_needs_one_structure():
+    rng = [substream(6), substream(7)]
+    obs = np.zeros((2, OBS_DIM))
+    for other in (Policy(kind="scripted", scripted_action=0),
+                  Policy(kind="softmax", feature_mode="augmented"),
+                  Policy(kind="window", window=2)):
+        with pytest.raises(ValueError, match="one \\(kind, feature_mode"):
+            act([Policy(kind="softmax"), other], obs, None, rng)
 
 
 def test_frozen_weight_mutation_rejected():

@@ -16,7 +16,7 @@ from replaylab.errors import ProtocolError
 from replaylab.graph_env import EnvParams, frontier_mask, generate_graph
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.policies import Policy
-from replaylab import rsd
+from replaylab import policies as policy_module, rsd
 from replaylab.rsd import (PhaseSeries, RsdConfig, RsdEpisodeRecord,
                            run_rsd_episode, run_rsd_episodes, scar_evolution)
 
@@ -142,17 +142,46 @@ def test_policy_weights_unchanged_and_hash_recorded():
 
 
 def test_policy_evaluated_once_per_step(monkeypatch):
+    # one batch pass per step: features, distributions and memory once
+    # each, and none of the one-row methods
     calls = Counter()
+
+    def count(owner, name):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
     for name in ("features", "action_distribution", "sample_action",
                  "remember"):
-        def counted(self, *args, _fn=getattr(Policy, name), _name=name):
-            calls[_name] += 1
-            return _fn(self, *args)
-        monkeypatch.setattr(Policy, name, counted)
+        count(Policy, name)
+    for name in ("batch_features", "batch_distributions"):
+        count(policy_module, name)
     _run(RsdConfig(t_exp=10, t_decay=5, t_rep=10),
          policy=_policy(kind="window", window=3))
-    assert calls == {"features": 25, "action_distribution": 25,
+    assert calls == {"batch_features": 25, "batch_distributions": 25,
                      "remember": 25}
+
+
+@pytest.mark.parametrize("kind", ["scripted", "softmax"])
+def test_observations_built_only_when_read(monkeypatch, kind):
+    # a scripted batch (here of augmented policies, as rapo's scripted
+    # fallback is) reads no observation: its steps build neither the
+    # observations nor the field summaries
+    calls = Counter()
+    for name in ("observe_batch", "field_features_batch"):
+        def counted(*args, _fn=getattr(rsd, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rsd, name, counted)
+    policies = [_policy(kind=kind, feature_mode="augmented",
+                        **({"scripted_action": 1} if kind == "scripted"
+                           else {})) for _ in range(3)]
+    run_rsd_episodes(RsdConfig(t_exp=10, t_decay=5, t_rep=10), [1, 5, 12],
+                     policies, ARC_GRAPH, _fields(ARC_GRAPH), FULL, [7, 8, 9],
+                     ARC_ENV)
+    steps = 25 if kind == "softmax" else 0
+    assert calls["observe_batch"] == calls["field_features_batch"] == steps
 
 
 def test_config_validation():
