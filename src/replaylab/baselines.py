@@ -136,7 +136,7 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
     """Desk-scale PPO training for one method on one graph."""
     tr_cfg = cfg.section("training")
     env_params = cfg.env_params
-    deform = cfg.deform(mcfg.train_deform_mode, graph)
+    deform = cfg.deform(mcfg.deform_mode, graph)
     policy = Policy(kind=mcfg.policy_kind, feature_mode=mcfg.feature_mode,
                     window=mcfg.window, seed=tr_cfg["seed"])
     trainer = TrainerState(policy=policy, lr=tr_cfg["lr"],
@@ -254,7 +254,7 @@ def run_episode_batch(cfg: RunConfig, mcfg: MethodConfig,
                      replay_deformation=mcfg.replay_deformation)
     fields = HarmFields.zeros(graph.node_count, cfg.field_params)
     return run_rsd_episodes(config, stimuli, policies, graph, fields,
-                            cfg.deform(mcfg.eval_deform_mode, graph),
+                            cfg.deform(mcfg.deform_mode, graph),
                             episode_seeds, cfg.env_params)
 
 

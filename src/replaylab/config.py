@@ -106,8 +106,7 @@ class ShieldParams:
 @dataclass(frozen=True)
 class MethodConfig:
     method: str
-    train_deform_mode: str = "off"     # kernel used while training
-    eval_deform_mode: str = "off"      # kernel during Exposure/Decay/Replay
+    deform_mode: str = "off"           # kernel in training and evaluation
     replay_deformation: str = "inherit"
     feature_mode: str = "obs"
     window: int = 1
@@ -121,9 +120,8 @@ class MethodConfig:
         return "window" if self.window > 1 else "softmax"
 
 
-_RAPO = MethodConfig(method="rapo", train_deform_mode="full",
-                     eval_deform_mode="full", feature_mode="augmented",
-                     cost_wiring="rapo")
+_RAPO = MethodConfig(method="rapo", deform_mode="full",
+                     feature_mode="augmented", cost_wiring="rapo")
 
 # every method id, in the suite's execution order: shield_um tunes against
 # a finished rapo run
@@ -133,16 +131,13 @@ _METHODS = {m.method: m for m in (
     MethodConfig(method="dr", cost_wiring="delayed_trace"),
     MethodConfig(method="shield", shield=ShieldParams()),
     # identical to RAPO except the deformation mode
-    replace(_RAPO, method="pm_st", train_deform_mode="off",
-            eval_deform_mode="off"),
+    replace(_RAPO, method="pm_st", deform_mode="off"),
     MethodConfig(method="pm_window", window=50, cost_wiring="delayed_trace"),
     _RAPO,
     replace(_RAPO, method="rapo_off_rep", replay_deformation="off",
             shares_checkpoint_with="rapo"),
-    replace(_RAPO, method="rapo_topk", train_deform_mode="topk",
-            eval_deform_mode="topk"),
-    replace(_RAPO, method="rapo_local", train_deform_mode="local",
-            eval_deform_mode="local"),
+    replace(_RAPO, method="rapo_topk", deform_mode="topk"),
+    replace(_RAPO, method="rapo_local", deform_mode="local"),
     MethodConfig(method="shield_um", shield=ShieldParams()),
 )}
 KNOWN_METHODS = tuple(_METHODS)

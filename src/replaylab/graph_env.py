@@ -43,7 +43,6 @@ __all__ = [
     "env_step",
     "env_steps",
     "nominal_rollouts",
-    "frontier_regions",
     "frontier_mask",
     "stimulus_rows",
     "edge_gate_mask",
@@ -528,12 +527,6 @@ def frontier_mask(batch: EnvBatch, graph: DiffusionGraph,
     return mask.reshape(batch.active.shape)
 
 
-def frontier_regions(state: EnvState, graph: DiffusionGraph,
-                     refire: bool) -> np.ndarray:
-    """Sorted regions of `frontier_mask` for one copy."""
-    return np.flatnonzero(frontier_mask(EnvBatch.of(state), graph, refire)[0])
-
-
 def _advance(active, newly, injected, src, dst, p_at, refire, draw):
     """One transition on a flat node array: activate the injected nodes,
     then fire each frontier edge once, with probability `p_at(idx)` against
@@ -633,15 +626,14 @@ def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
              fields: HarmFields, deform: DeformationSpec,
              rng: np.random.Generator,
              params: EnvParams | None = None) -> StepResult:
-    """One environment step of one copy: `env_steps` at B=1.
+    """One environment step of one copy: `env_steps` at B=1, with the
+    copy's fields, [N] or (1, N).
 
     The RNG draw count depends only on (observable state, action, graph,
     stimulus), which makes paired-stream replay exact.
     """
-    step = env_steps(EnvBatch.of(state), [action], graph,
-                     HarmFields(G=fields.G[None], H=fields.H[None],
-                                params=fields.params),
-                     deform, [rng], params)
+    step = env_steps(EnvBatch.of(state), [action], graph, fields, deform,
+                     [rng], params)
     return StepResult(state=step.batch.episode(0), reward=float(step.reward[0]),
                       harm=float(step.harm[0]), causal=step.causal,
                       odds=tuple(step.odds[0].tolist()))
@@ -653,10 +645,11 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
     """One environment step of B copies: injection, diffusion, reward,
     delayed harm.
 
-    `fields` holds (B, N) fields; copy b takes `actions[b]` and draws from
-    `rngs[b]` alone: its injection uniforms, then one uniform per frontier
-    edge of its own, as a one-copy step draws them. So each copy's result
-    equals its one-copy step bit for bit.
+    `fields` holds (B, N) fields, or [N] for one copy, read at flat entry
+    b*N + r for copy b's region r (see `conductance`). Copy b takes
+    `actions[b]` and draws from `rngs[b]` alone: its injection uniforms,
+    then one uniform per frontier edge of its own, as a one-copy step
+    draws them. So each copy's result equals its one-copy step bit for bit.
     """
     params = params or EnvParams()
     fp = fields.params
@@ -680,11 +673,10 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
             if action != Action.CONSERVATIVE:
                 injected.append(seeds[b])
             if action != Action.MODERATE:
-                own = HarmFields(G=fields.G[b], H=fields.H[b], params=fp)
                 law = _stimulus_law(
                     graph, seeds[b] - b * n,
-                    lambda nodes: conductance(nodes, own, deform), deform,
-                    Action(action))
+                    lambda nodes: conductance(nodes + b * n, fields, deform),
+                    deform, Action(action))
                 injected.append(_pick(law, rngs[b].random(len(law[0]))) + b * n)
 
     # cascade diffusion over frontier edges, gated by destination conductance
@@ -693,10 +685,8 @@ def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,
     def p_at(idx):
         p = p_nominal[idx]
         if idx.size and gmask.any():
-            # copy b's region r is entry b*N + r of the flat fields
-            flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(), params=fp)
             p = np.where(gmask[idx % e], gate_edge_prob(
-                p, conductance(dst[idx], flat, deform)), p)
+                p, conductance(dst[idx], fields, deform)), p)
         return p
 
     def draw(idx):

@@ -58,8 +58,9 @@ class HarmFields:
         return top, values, (values > 0).sum(axis=-1)
 
     def summary(self) -> dict:
-        top, values, count = self.top_scars()
-        scars = zip(top[:count].tolist(), values[:count].tolist())
+        """Totals and positive top scars of one copy's fields, [N] or (1, N)."""
+        top, values, count = (a.reshape(-1) for a in self.top_scars())
+        scars = zip(top[:count[0]].tolist(), values[:count[0]].tolist())
         return {
             "g_sum": float(self.G.sum()),
             "h_sum": float(self.H.sum()),
@@ -75,20 +76,22 @@ def attribute_harm(fields: HarmFields, harm, causal_regions) -> HarmFields:
     (G of shape (B, N)) `harm` holds one value per copy and
     `causal_regions` flat indices b*N + r. Returns a new HarmFields.
     """
-    harm = np.asarray(harm, dtype=float).ravel().tolist()
-    if not all(0.0 <= h <= 1.0 for h in harm):
+    harm = np.asarray(harm, dtype=float).reshape(-1)
+    # ufunc reductions, not the array methods, whose wrappers cost more
+    # than the work at one value per copy; a NaN fails both comparisons
+    top = np.maximum.reduce(harm, initial=0.0)
+    if not (np.minimum.reduce(harm, initial=1.0) >= 0.0 and top <= 1.0):
         raise ValueError("harm must lie in [0, 1]")
     p = fields.params
     causal = np.asarray(causal_regions, dtype=int)
     g = (1.0 - p.lam) * fields.G
-    if causal.size or any(harm):
+    if causal.size or top > 0.0:
         copy = causal // fields.G.shape[-1]
-        per_copy = np.bincount(copy, minlength=len(harm)).tolist()
-        if any(h > 0 and not c for h, c in zip(harm, per_copy)):
+        count = np.bincount(copy, minlength=harm.size)
+        if not count[harm > 0.0].all():
             # the delayed-harm formula makes this combination impossible
             raise ValueError("positive harm requires a nonempty causal set")
-        weight = [p.alpha * h / max(c, 1) for h, c in zip(harm, per_copy)]
-        g.ravel()[causal] += np.array(weight)[copy]
+        g.reshape(-1)[causal] += (p.alpha * harm / np.maximum(count, 1))[copy]
     return HarmFields(G=g, H=fields.H.copy(), params=p)
 
 

@@ -41,30 +41,28 @@ def field_features(fields: HarmFields, deform: DeformationSpec,
                    frontier_regions: np.ndarray) -> np.ndarray:
     """Summaries of the harm fields fed to augmented policies:
     (sum G, sum H, max G, max H, mean conductance over frontier regions)."""
-    frontier = np.zeros(fields.G.shape, dtype=bool)
-    frontier[frontier_regions] = True
-    return field_features_batch(
-        HarmFields(G=fields.G[None], H=fields.H[None], params=fields.params),
-        deform, frontier[None])[0]
+    frontier = np.zeros((1, fields.G.size), dtype=bool)
+    frontier[0, frontier_regions] = True
+    return field_features_batch(fields, deform, frontier)[0]
 
 
 def field_features_batch(fields: HarmFields, deform: DeformationSpec,
                          frontier: np.ndarray) -> np.ndarray:
-    """`field_features` of B copies, one row per copy: (B, N) fields and a
-    (B, N) mask of each copy's frontier regions. Each row equals the one-copy
-    result bit for bit; a copy without frontier has mean conductance 1."""
+    """`field_features` of B copies, one row per copy: (B, N) fields (or
+    [N] for one copy) and a (B, N) mask of each copy's frontier regions.
+    Each row equals the one-copy result bit for bit; a copy without
+    frontier has mean conductance 1."""
     count = frontier.sum(axis=1)
+    g, h = fields.G.reshape(frontier.shape), fields.H.reshape(frontier.shape)
     out = np.empty((len(count), FIELD_FEATURE_DIM))
-    np.add.reduce(fields.G, axis=1, out=out[:, 0])
-    np.add.reduce(fields.H, axis=1, out=out[:, 1])
-    np.maximum.reduce(fields.G, axis=1, out=out[:, 2])
-    np.maximum.reduce(fields.H, axis=1, out=out[:, 3])
+    np.add.reduce(g, axis=1, out=out[:, 0])
+    np.add.reduce(h, axis=1, out=out[:, 1])
+    np.maximum.reduce(g, axis=1, out=out[:, 2])
+    np.maximum.reduce(h, axis=1, out=out[:, 3])
     out[:, 4] = 1.0
     if count.any():
-        flat = HarmFields(G=fields.G.ravel(), H=fields.H.ravel(),
-                          params=fields.params)
         regions = frontier.ravel().nonzero()[0]
-        psi = segment_sums(conductance(regions, flat, deform), count)
+        psi = segment_sums(conductance(regions, fields, deform), count)
         np.divide(psi, count, out=out[:, 4], where=count > 0)
     return out
 

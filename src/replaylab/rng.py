@@ -7,12 +7,9 @@ results are independent of worker count and execution order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-
 import numpy as np
 
-__all__ = ["substream", "categorical", "categorical_rows"]
+__all__ = ["substream", "categorical_rows"]
 
 
 def substream(*key: int) -> np.random.Generator:
@@ -25,20 +22,11 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def categorical(p, rng: np.random.Generator) -> int:
-    """Draw an index from the probabilities `p` with one uniform, exactly
-    as `rng.choice(len(p), p=p)` draws it, in Python floats (its argument
-    checks cost more than a scripted policy's evaluation)."""
-    cdf = list(accumulate(p))
-    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
-
-
 def categorical_rows(p: np.ndarray, rngs) -> np.ndarray:
-    """`categorical` of each row of the (B, K) probabilities `p`, row b
+    """Draw an index from each row of the (B, K) probabilities `p`, row b
     with one uniform from `rngs[b]`: the count of the row's CDF entries
-    (cumsum, then divided by its last entry) that are <= the uniform. Row
-    b picks what `categorical(p[b].tolist(), rngs[b])` picks, and leaves
-    `rngs[b]` where it leaves it."""
+    (cumsum, then divided by its last entry) that are <= the uniform, as
+    `rngs[b].choice(K, p=p[b])` picks it."""
     u = np.array([r.random() for r in rngs])[:, None]
     cdf = np.add.accumulate(p, axis=1)
     cdf /= cdf[:, -1:]

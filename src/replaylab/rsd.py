@@ -218,10 +218,6 @@ def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     return rows
 
 
-def _copy_fields(fields: HarmFields, b: int) -> HarmFields:
-    return HarmFields(G=fields.G[b], H=fields.H[b], params=fields.params)
-
-
 def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
                fields: HarmFields, deform: DeformationSpec, rngs,
                t_phase: int, env_params: EnvParams):
@@ -241,7 +237,8 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
     for b, policy in enumerate(policies):
         bind = getattr(policy, "bind_env_state", None)
         if bind is not None:
-            bind(batch.episode(b), _copy_fields(fields, b), deform)
+            bind(batch.episode(b), HarmFields(G=fields.G[b], H=fields.H[b],
+                                              params=fields.params), deform)
     obs = summary = None
     if policies[0].kind != "scripted":
         obs = observe_batch(batch, graph, t_phase, env_params)
@@ -250,8 +247,8 @@ def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
                 fields, deform, frontier_mask(batch, graph, env_params.refire))
     actions, dists, feats = act(policies, obs, summary, rngs)
     if len(policies) == 1:
-        res = env_step(batch.episode(0), Action(actions[0]), graph,
-                       _copy_fields(fields, 0), deform, rngs[0], env_params)
+        res = env_step(batch.episode(0), Action(actions[0]), graph, fields,
+                       deform, rngs[0], env_params)
         step = BatchStep(batch=EnvBatch.of(res.state), reward=[res.reward],
                          harm=[res.harm], causal=res.causal, odds=[res.odds])
     else:
@@ -319,7 +316,7 @@ def run_rsd_episodes(config: RsdConfig, stimuli, policies,
     """Run B Exposure -> Decay -> Replay episodes with frozen policies as B
     copies stepped together; episode b runs `config` with stimulus
     z = stimuli[b], policies[b] and episode_seeds[b], and every episode
-    starts from `fields`.
+    starts from `fields`, one copy's fields of shape [N] or (1, N).
 
     Each episode draws from its own generators in the order a lone episode
     does, so record b equals `run_rsd_episode(replace(config, z=stimuli[b]),
@@ -329,6 +326,10 @@ def run_rsd_episodes(config: RsdConfig, stimuli, policies,
         raise ValueError("need one stimulus, policy and seed per episode")
     if not all(p.frozen for p in policies):
         raise ProtocolError("RSD requires a frozen policy")
+    n = graph.node_count
+    if fields.G.shape not in ((n,), (1, n)) or fields.H.shape != fields.G.shape:
+        raise ValueError(f"start fields must have shape ({n},) or (1, {n}), "
+                         f"got G {fields.G.shape} and H {fields.H.shape}")
     env_params = env_params or EnvParams()
     hashes = [p.weight_hash() for p in policies]
     start = fields.summary()

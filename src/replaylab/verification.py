@@ -122,14 +122,14 @@ def _split(mass, harmful):
 
 def _masses(p0, harmful, h, w_h, g=0.0, w_g=1.0, own=None, psi_min=None):
     """Deformed harmful and safe masses of each [R, W] row's `own` entries
-    (default all; the rest get levels 0, so psi 1): `conductance` on flat
-    fields of the levels, then one `reweight_rows`. Without `psi_min` the
+    (default all; the rest get levels 0, so psi 1): `conductance` on the
+    levels' fields, then one `reweight_rows`. Without `psi_min` the
     floor lies below every psi checked and reaching it raises: the bounds
     are stated for unclipped psi, which a clipped row no longer tests."""
     own = np.ones(np.shape(h), dtype=bool) if own is None else own
     spec = DeformationSpec(w_G=w_g, w_H=w_h, psi_min=psi_min or _UNCLIPPED)
-    fields = HarmFields(G=np.where(own, g, 0.0).ravel(),
-                        H=np.where(own, h, 0.0).ravel(), params=FieldParams())
+    fields = HarmFields(G=np.where(own, g, 0.0), H=np.where(own, h, 0.0),
+                        params=FieldParams())
     psi = conductance(np.arange(own.size).reshape(own.shape), fields, spec)
     if psi_min is None and np.any(psi[own] == _UNCLIPPED):
         raise ProtocolError("psi reached psi_min: bounds need unclipped psi")

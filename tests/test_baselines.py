@@ -63,8 +63,8 @@ def test_structural_identity_of_matched_pair():
         if getattr(rapo, f.name) != getattr(pm, f.name)
     }
     # the matched pair differs only in where the deformation is applied
-    assert diff == {"method", "train_deform_mode", "eval_deform_mode"}
-    assert pm.train_deform_mode == pm.eval_deform_mode == "off"
+    assert diff == {"method", "deform_mode"}
+    assert pm.deform_mode == "off"
 
 
 def test_off_at_replay_variant_shares_training():

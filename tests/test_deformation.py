@@ -33,6 +33,25 @@ def test_conductance_clipping_and_off():
     assert np.all(off == 1.0)
 
 
+@pytest.mark.parametrize("mode", ["full", "topk", "local", "off"])
+def test_conductance_reads_copies_flat(mode):
+    # on (B, N) fields, region r of copy b is entry b*N + r: its conductance
+    # equals that of region r in copy b's own [N] fields, bit for bit
+    spec = DeformationSpec(w_G=0.7, w_H=1.9, psi_min=0.02, mode=mode,
+                           local_regions=frozenset({1}))
+    rng = np.random.default_rng(3)
+    for b_count, n in [(1, 5), (3, 7), (4, 50)]:
+        fields = _fields(rng.uniform(0, 3, (b_count, n)),
+                         rng.uniform(0, 2, (b_count, n)))
+        regions = rng.integers(n, size=(b_count, 2 * n))
+        flat = conductance(regions + np.arange(b_count)[:, None] * n,
+                           fields, spec)
+        for b in range(b_count):
+            one = conductance(regions[b], _fields(fields.G[b], fields.H[b]),
+                              spec)
+            assert flat[b].tobytes() == one.tobytes()
+
+
 def test_reweight_closed_form():
     out = reweight_categorical(np.array([0.5, 0.5]),
                                np.array([1.0, np.exp(-1.0)]))
@@ -142,3 +161,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         apply_mode(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                    DeformationSpec(mode="local", local_regions=frozenset({1})))
+    # mode off checks the nominal as every other mode does
+    with pytest.raises(ValueError, match="nonnegative"):
+        apply_mode(np.array([1.5, -0.5]), np.array([1.0, 1.0]),
+                   DeformationSpec(mode="off"))

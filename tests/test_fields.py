@@ -46,6 +46,40 @@ def test_attribution_mass_conservation():
         fields = out
 
 
+def _attribution_per_copy(fields, harm, causal):
+    """Reference: the one-copy formula on each copy of (B, N) fields, in
+    Python floats: decay, then alpha * harm / |causal set| on the copy's
+    causal regions."""
+    p, n = fields.params, fields.G.shape[1]
+    g = (1.0 - p.lam) * fields.G
+    for b, h in enumerate(harm):
+        own = [int(c) - b * n for c in causal if c // n == b]
+        if own:
+            g[b, own] += p.alpha * h / len(own)
+    return g
+
+
+def test_batched_attribution_equals_per_copy_formula():
+    # copies with and without causal nodes, zero and positive harm; every
+    # copy's G equals its one-copy formula bit for bit
+    rng = substream(0, 43)
+    params = FieldParams(lam=0.15, alpha=0.8)
+    for _ in range(200):
+        b_count, n = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+        fields = HarmFields(G=rng.uniform(0, 2, (b_count, n)),
+                            H=rng.uniform(0, 1, (b_count, n)), params=params)
+        harm, causal = np.zeros(b_count), []
+        for b in range(b_count):
+            k = int(rng.integers(0, n + 1))
+            causal += (b * n + rng.choice(n, size=k, replace=False)).tolist()
+            if k and rng.random() < 0.7:
+                harm[b] = min(0.1 * k, 1.0)
+        out = attribute_harm(fields, harm, np.sort(causal).astype(int))
+        assert out.G.tobytes() == \
+            _attribution_per_copy(fields, harm, causal).tobytes()
+        assert out.H.tobytes() == fields.H.tobytes()
+
+
 def test_scar_threshold_and_growth():
     params = FieldParams(eta=0.05, tau=0.3)
     below = HarmFields(G=np.array([0.29]), H=np.zeros(1), params=params)
@@ -124,3 +158,9 @@ def test_attribution_validation():
         attribute_harm(fields, -0.1, [0])
     with pytest.raises(ValueError):
         attribute_harm(fields, 0.4, np.empty(0, dtype=int))
+    with pytest.raises(ValueError, match=r"harm must lie in \[0, 1\]"):
+        attribute_harm(fields, np.nan, [0])
+    # copy 1 of two has positive harm but no causal node
+    two = HarmFields.zeros((2, 4), FieldParams())
+    with pytest.raises(ValueError, match="nonempty causal set"):
+        attribute_harm(two, [0.3, 0.4], [1, 2])

@@ -1,17 +1,27 @@
 """Policies, freezing contract, and trainer math."""
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from replaylab.errors import ProtocolError
 from replaylab.policies import N_ACTIONS, OBS_DIM, Policy, act, softmax
-from replaylab.rng import categorical, substream
+from replaylab.rng import substream
 from replaylab.training import (Batch, TrainerState, check_finite,
                                 dual_update, gae_advantages,
                                 ss_penalty_update, surrogate_loss_and_grad,
                                 train_epoch)
 
 OBS = np.array([0.2, 1.0, 0.5, 0.1])
+
+
+def categorical(p, rng):
+    """Reference draw: an index from the probabilities `p` with one
+    uniform, in Python floats, as `rng.choice(len(p), p=p)` draws it."""
+    cdf = list(accumulate(p))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def test_zero_weights_give_uniform_distribution():

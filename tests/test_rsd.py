@@ -32,6 +32,14 @@ def _policy(kind="softmax", **kw):
     return Policy(kind=kind, **kw).freeze()
 
 
+def _frontier_regions(state, graph, refire):
+    """Reference frontier of one copy: the sorted inactive regions that an
+    edge points into from an active node (refire) or a newly active one."""
+    fire = state.active if refire else state.newly
+    hit = fire[graph.edge_src] & ~state.active[graph.edge_dst]
+    return np.unique(graph.edge_dst[hit])
+
+
 def _fields(graph, **kw):
     return HarmFields.zeros(graph.node_count, FieldParams(**kw))
 
@@ -68,6 +76,25 @@ def test_unfrozen_policy_rejected():
     with pytest.raises(ProtocolError):
         run_rsd_episode(cfg, Policy(kind="softmax"), GRAPH, _fields(GRAPH),
                         OFF, 0)
+
+
+def test_start_fields_are_one_copy():
+    # one copy's fields start an episode as [N] or as (1, N); any other
+    # shape is refused, naming it
+    cfg = RsdConfig(t_exp=8, t_decay=3, t_rep=8)
+    start = _fields(ARC_GRAPH, delay=3)
+    start.G[:] = np.random.default_rng(60).uniform(0, 1, 50)
+    recs = [run_rsd_episode(cfg, _policy(feature_mode="augmented"),
+                            ARC_GRAPH, f, FULL, 7, ARC_ENV).to_json()
+            for f in (start, HarmFields(G=start.G[None], H=start.H[None],
+                                        params=start.params))]
+    assert recs[0] == recs[1]
+    wide = HarmFields.zeros((2, 50), start.params)
+    with pytest.raises(ValueError, match=r"\(2, 50\)"):
+        run_rsd_episode(cfg, _policy(), ARC_GRAPH, wide, FULL, 7, ARC_ENV)
+    with pytest.raises(ValueError, match=r"\(49,\)"):
+        run_rsd_episode(cfg, _policy(), ARC_GRAPH,
+                        HarmFields.zeros(49, start.params), FULL, 7, ARC_ENV)
 
 
 def test_observable_reset_between_phases():
@@ -358,8 +385,8 @@ def test_batched_episodes_equal_one_at_a_time(kind, switch):
 def test_observe_and_field_features_batched_rows_equal_one_copy():
     # along a four-copy walk with mixed stimuli and actions, every row of
     # the batched observation and field features equals its one-copy value
-    from replaylab.graph_env import (EnvBatch, env_steps, frontier_regions,
-                                     observe, observe_batch)
+    from replaylab.graph_env import (EnvBatch, env_steps, observe,
+                                     observe_batch)
     from replaylab.policies import field_features, field_features_batch
     rng = np.random.default_rng(11)
     stimuli = (1, 5, 5, 12)
@@ -377,7 +404,7 @@ def test_observe_and_field_features_batched_rows_equal_one_copy():
             one = HarmFields(G=fields.G[b], H=fields.H[b], params=fields.params)
             assert np.array_equal(obs[b], observe(state, ARC_GRAPH, 30, ARC_ENV))
             assert np.array_equal(feats[b], field_features(
-                one, FULL, frontier_regions(state, ARC_GRAPH, ARC_ENV.refire)))
+                one, FULL, _frontier_regions(state, ARC_GRAPH, ARC_ENV.refire)))
         batch = env_steps(batch, rng.integers(3, size=4).tolist(), ARC_GRAPH,
                           fields, FULL, rngs, ARC_ENV).batch
     assert batch.active.sum(axis=1).min() > 0
