@@ -14,17 +14,22 @@ from replaylab.cli import main as cli_main
 
 
 def main():
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = os.path.join(tmp, "cfg.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(desk_preset(graph={"seeds": [1, 2, 3]},
-                                  fields={"alpha": 0.5, "delay": 25},
-                                  methods=["rapo"], episodes=5), fh)
-        out = os.path.join(tmp, "sweep.csv")
-        cli_main(["sweep", "--config", cfg_path, "--out", out,
-                  "--w-h", "0.5", "1.0", "2.0", "4.0", "--eta", "0.3"])
-        with open(out) as fh:
-            print(fh.read())
+        # work inside the temporary directory, so that the paths the sweep
+        # prints are relative to it and the output is the same on every run
+        os.chdir(tmp)
+        try:
+            with open("cfg.json", "w") as fh:
+                json.dump(desk_preset(graph={"seeds": [1, 2, 3]},
+                                      fields={"alpha": 0.5, "delay": 25},
+                                      methods=["rapo"], episodes=5), fh)
+            cli_main(["sweep", "--config", "cfg.json", "--out", "sweep.csv",
+                      "--w-h", "0.5", "1.0", "2.0", "4.0", "--eta", "0.3"])
+            with open("sweep.csv") as fh:
+                print(fh.read())
+        finally:
+            os.chdir(home)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .harm_memory import HarmFields
 from .metrics import discounted_return, episode_metrics, welch_ttest
 from .policies import N_ACTIONS, Policy
 from .rng import substream
-from .rsd import RsdEpisodeRecord, agent_step, run_rsd_episodes
+from .rsd import RsdEpisodeRecord, run_rsd_episodes, step_phase
 from .training import (Batch, TrainerState, check_finite, dual_update,
                        ss_penalty_update, train_epoch)
 
@@ -66,9 +66,9 @@ class ShieldedPolicy(Policy):
     """A policy whose actions pass the Monte-Carlo action filter.
 
     It takes over `base`'s state (weights, window memory, frozen flag), so
-    features and memory are the base policy's own. `rsd.agent_step` binds
-    the current environment state before each evaluation; the filter's
-    allowed actions are then the policy's action mask.
+    features and memory are the base policy's own. The phase loop
+    (`rsd.step_phase`) binds the copy's environment state before each
+    step; the filter's allowed actions are then the policy's action mask.
     """
 
     def __init__(self, base: Policy, graph: DiffusionGraph,
@@ -151,46 +151,42 @@ def train_policy(mcfg: MethodConfig, graph: DiffusionGraph, cfg: RunConfig) -> P
     steps_done = 0
     ep_index = 0
     while steps_done < total_steps:
-        feats, acts, rews, gsums, hincs, logps, starts = [], [], [], [], [], [], []
-        # one batch = a handful of episodes; the last holds only those needed
+        # one batch = a handful of episodes, each one phase-loop call on one
+        # copy; the last batch holds only the episodes the budget needs
+        episodes = []
         for _ in range(min(max(1, 2048 // ep_len),
                            math.ceil((total_steps - steps_done) / ep_len))):
             z = stimuli[ep_index % len(stimuli)]
             ep_index += 1
-            fields = HarmFields.zeros((1, graph.node_count), cfg.field_params)
-            batch = EnvBatch.initial(graph, (z,), cfg.field_params.delay)
             policy.reset_memory()
-            first = True
-            trace = 0.0
-            for _ in range(ep_len):
-                step, new_fields, [a], [dist], [f] = agent_step(
-                    batch, [policy], graph, fields, deform, [rng], ep_len,
-                    env_params)
-                scar_inc = float(new_fields.H[0].sum() - fields.H[0].sum())
-                fields = new_fields
-                batch = step.batch
-                reward, harm = float(step.reward[0]), float(step.harm[0])
-                if mcfg.cost_wiring == "instant":
-                    ss_penalty = ss_penalty_update(ss_penalty, harm,
-                                                   trainer.lr_dual)
-                    reward -= ss_penalty * harm
-                elif mcfg.cost_wiring == "delayed_trace":
-                    trace = 0.98 * trace + harm
-                    reward -= 0.01 * trace
-                feats.append(f)
-                acts.append(a)
-                rews.append(reward)
-                gsums.append(float(fields.G[0].sum()))
-                hincs.append(scar_inc)
-                logps.append(float(np.log(max(dist[a], 1e-300))))
-                starts.append(first)
-                first = False
-                steps_done += 1
-        batch = Batch(features=np.array(feats), actions=np.array(acts),
-                      rewards=np.array(rews), g_sums=np.array(gsums),
-                      h_increments=np.array(hincs),
-                      old_logp=np.array(logps),
-                      starts=np.array(starts, dtype=bool))
+            episodes.append(step_phase(
+                EnvBatch.initial(graph, (z,), cfg.field_params.delay),
+                [policy], graph,
+                HarmFields.zeros((1, graph.node_count), cfg.field_params),
+                deform, [rng], ep_len, env_params)[2])
+        steps_done += len(episodes) * ep_len
+        cols = {k: np.concatenate([c[k][:, 0] for c in episodes])
+                for k in ("features", "actions", "action_dists", "rewards",
+                          "harm", "g_sum")}
+        starts = np.arange(len(cols["actions"])) % ep_len == 0
+        # the sequential cost wiring, in Python floats
+        rewards, trace = cols["rewards"].tolist(), 0.0
+        for t, harm in enumerate(cols["harm"].tolist()):
+            if mcfg.cost_wiring == "instant":
+                ss_penalty = ss_penalty_update(ss_penalty, harm,
+                                               trainer.lr_dual)
+                rewards[t] -= ss_penalty * harm
+            elif mcfg.cost_wiring == "delayed_trace":
+                trace = (0.0 if t % ep_len == 0 else 0.98 * trace) + harm
+                rewards[t] -= 0.01 * trace
+        picked = cols["action_dists"][np.arange(len(starts)), cols["actions"]]
+        batch = Batch(
+            features=cols["features"], actions=cols["actions"],
+            rewards=np.array(rewards), g_sums=cols["g_sum"],
+            # each episode's fields start at zero
+            h_increments=np.concatenate([np.diff(c["h_sum"][:, 0], prepend=0.0)
+                                         for c in episodes]),
+            old_logp=np.log(np.maximum(picked, 1e-300)), starts=starts)
         for _ in range(tr_cfg["epochs_per_batch"]):
             trainer = train_epoch(trainer, batch)
         check_finite(trainer, f"training {mcfg.method} on graph seed "

@@ -501,10 +501,10 @@ class BatchStep:
     """The StepResult of B copies."""
 
     batch: EnvBatch
-    reward: np.ndarray              # float [B], or a list
-    harm: np.ndarray                # float [B], or a list
+    reward: np.ndarray              # float [B]
+    harm: np.ndarray                # float [B]
     causal: np.ndarray              # flat indices b*N + r of A_{t-D} ∩ V_sens
-    odds: np.ndarray                # (p, q, p0, q0) per copy: [B, 4], or a list
+    odds: np.ndarray                # (p, q, p0, q0) per copy: [B, 4]
 
 
 def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,

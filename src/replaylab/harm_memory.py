@@ -54,8 +54,10 @@ class HarmFields:
         copies): their regions, by stable argsort of -H, the values, and
         how many are positive. The values descend, so the scars come first."""
         top = np.argsort(-self.H, axis=-1, kind="stable")[..., :10]
-        values = np.take_along_axis(self.H, top, axis=-1)
-        return top, values, (values > 0).sum(axis=-1)
+        # gathered by flat index b*N + r, cheaper than take_along_axis
+        rows = np.arange(0, self.H.size, self.H.shape[-1])
+        values = self.H.ravel()[top + rows.reshape(top.shape[:-1] + (1,))]
+        return top, values, np.add.reduce(values > 0, axis=-1)
 
     def summary(self) -> dict:
         """Totals and positive top scars of one copy's fields, [N] or (1, N)."""

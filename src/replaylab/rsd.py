@@ -27,7 +27,7 @@ from .harm_memory import HarmFields, attribute_harm, update_scar
 from .policies import Policy, act, field_features_batch
 from .rng import substream
 
-__all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "agent_step",
+__all__ = ["RsdConfig", "PhaseSeries", "RsdEpisodeRecord", "step_phase",
            "run_rsd_episode", "run_rsd_episodes", "scar_evolution"]
 
 RECORD_SCHEMA = 1
@@ -218,95 +218,95 @@ def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     return rows
 
 
-def agent_step(batch: EnvBatch, policies, graph: DiffusionGraph,
-               fields: HarmFields, deform: DeformationSpec, rngs,
-               t_phase: int, env_params: EnvParams):
-    """One agent-environment step of B copies, shared by the RSD phases
-    and training (which runs one copy).
+# `step_phase`'s columns: the active sets, then per copy the reward, harm,
+# action, (3,) distribution, features, (p, q, p0, q0) odds, radius, field
+# sums, and the top scars' regions, H values and count of positive ones
+_COLUMNS = ("active", "rewards", "harm", "actions", "action_dists",
+            "features", "odds", "radius", "g_sum", "h_sum", "top", "top_h",
+            "positive")
+
+
+def step_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
+               fields: HarmFields, deform: DeformationSpec, rngs, steps: int,
+               env_params: EnvParams):
+    """Step B copies for `steps` steps: the one step path of the RSD phases
+    and of training, which runs each episode as one copy.
 
     `fields` holds the (B, N) fields; copy b has its own policy and
     generator, and the policies share one kind, feature mode and window.
-    Per copy it binds the state to a policy that asks for it (the shield).
-    Then all policies act in one array pass (`policies.act`) on the
-    batched observations, built only when the policies read them (a
-    scripted policy does not), and all copies step together and the harm
-    fields update. Returns the BatchStep, the new fields, the actions (a
-    list), the (B, 3) distributions and the (B, F) features (None for
-    scripted policies).
+    Each step binds each copy's state to a policy that asks for it (the
+    shield), lets all policies act in one array pass (`policies.act`) on
+    observations built only if they read them (a scripted policy does
+    not), steps all copies together and updates the fields. Returns the
+    last batch and fields and the `_COLUMNS`, stacked (T, B, ...);
+    `features` is None for scripted policies and `radius` is the running
+    containment radius. Only the active sets are (T, B, N), and the field
+    reductions are taken as the loop goes: the columns grow as T*B*N bytes.
     """
-    for b, policy in enumerate(policies):
-        bind = getattr(policy, "bind_env_state", None)
-        if bind is not None:
-            bind(batch.episode(b), HarmFields(G=fields.G[b], H=fields.H[b],
-                                              params=fields.params), deform)
-    obs = summary = None
-    if policies[0].kind != "scripted":
-        obs = observe_batch(batch, graph, t_phase, env_params)
-        if policies[0].feature_mode == "augmented":
-            summary = field_features_batch(
-                fields, deform, frontier_mask(batch, graph, env_params.refire))
-    actions, dists, feats = act(policies, obs, summary, rngs)
-    if len(policies) == 1:
-        res = env_step(batch.episode(0), Action(actions[0]), graph, fields,
-                       deform, rngs[0], env_params)
-        step = BatchStep(batch=EnvBatch.of(res.state), reward=[res.reward],
-                         harm=[res.harm], causal=res.causal, odds=[res.odds])
-    else:
-        step = env_steps(batch, actions, graph, fields, deform, rngs,
-                         env_params)
-    fields = update_scar(attribute_harm(fields, step.harm, step.causal))
-    return step, fields, actions, dists, feats
-
-
-def _run_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
-               fields: HarmFields, deform: DeformationSpec, rngs, steps: int,
-               env_params: EnvParams, hops: np.ndarray):
-    """Run one phase of B copies; returns the batch, the fields and one
-    PhaseSeries per copy, built from the phase's stacked history. The
-    history keeps each step's active sets and (B,)-sized reductions of the
-    rest, so it grows as T*B*N bytes."""
+    # hop distances from the stimulus seeds, 0 where unreachable
+    hops = np.maximum(stimulus_rows(graph, batch.stimuli, env_params)[0], 0)
+    head = policies[0]
     hist = []
-    seen = hops >= 0
     for _ in range(steps):
-        step, fields, actions, dists, _ = agent_step(
-            batch, policies, graph, fields, deform, rngs, steps, env_params)
+        for b, policy in enumerate(policies):
+            bind = getattr(policy, "bind_env_state", None)
+            if bind is not None:
+                bind(batch.episode(b), HarmFields(G=fields.G[b], H=fields.H[b],
+                                                  params=fields.params), deform)
+        obs = summary = None
+        if head.kind != "scripted":
+            obs = observe_batch(batch, graph, steps, env_params)
+            if head.feature_mode == "augmented":
+                summary = field_features_batch(
+                    fields, deform, frontier_mask(batch, graph, env_params.refire))
+        actions, dists, feats = act(policies, obs, summary, rngs)
+        if len(policies) == 1:
+            res = env_step(batch.episode(0), Action(actions[0]), graph,
+                           fields, deform, rngs[0], env_params)
+            step = BatchStep(batch=EnvBatch.of(res.state),
+                             reward=np.array([res.reward]),
+                             harm=np.array([res.harm]), causal=res.causal,
+                             odds=np.array([res.odds]))
+        else:
+            step = env_steps(batch, actions, graph, fields, deform, rngs,
+                             env_params)
+        fields = update_scar(attribute_harm(fields, step.harm, step.causal))
         batch = step.batch
-        hist.append((batch.active, step.reward, actions, dists, step.odds,
-                     np.where(batch.newly & seen, hops, 0).max(axis=1),
-                     fields.G.sum(axis=1), fields.H.sum(axis=1),
-                     *fields.top_scars()))
-    (active, rewards, actions, dists, odds, radius, g_sum, h_sum, top, top_h,
-     positive) = zip(*hist)
-    active = np.stack(active)                       # (T, B, N)
-    actions = np.array(actions, dtype=np.uint8)
-    cols = {
-        "reach": active.sum(axis=2),
-        "sens": (active & graph.sensitive).sum(axis=2),
-        "rewards": np.stack(rewards),
-        "actions": actions,
-        "action_dists": np.stack(dists),            # (T, B, 3)
-        "odds": np.stack(odds),
-        "radius": np.maximum.accumulate(np.stack(radius), axis=0),
-        "g_sum": np.stack(g_sum),
-        "h_sum": np.stack(h_sum),
-    }
-    # (T, B, 10) regions and H values, (T, B) counts of positive ones
-    top, top_h, positive = map(np.stack, (top, top_h, positive))
+        radius = np.maximum.reduce(np.where(batch.newly, hops, 0), axis=1)
+        hist.append((batch.active, step.reward, step.harm, actions, dists,
+                     feats, step.odds, radius, np.add.reduce(fields.G, axis=1),
+                     np.add.reduce(fields.H, axis=1), *fields.top_scars()))
+    # np.array stacks equal shapes as np.stack does, at a third of the cost
+    cols = {k: None if v[0] is None else np.array(v)
+            for k, v in zip(_COLUMNS, zip(*hist))}
+    cols["actions"] = cols["actions"].astype(np.uint8)
+    cols["radius"] = np.maximum.accumulate(cols["radius"], axis=0)
+    return batch, fields, cols
+
+
+def _phase_series(cols: dict, graph: DiffusionGraph) -> list:
+    """One PhaseSeries per copy from `step_phase`'s columns."""
+    active, actions, top = cols["active"], cols["actions"], cols["top"]
+    per_step = {"reach": active.sum(axis=2),
+                "sens": (active & graph.sensitive).sum(axis=2),
+                **{k: cols[k] for k in ("rewards", "actions", "action_dists",
+                                        "odds", "radius", "g_sum", "h_sum")}}
     series = []
-    for b in range(len(policies)):
-        s = PhaseSeries(**{k: v[:, b].tolist() for k, v in cols.items()})
+    for b in range(active.shape[1]):
+        s = PhaseSeries(**{k: v[:, b].tolist() for k, v in per_step.items()})
         # the copy's (region, H) pairs in one zip, then each step's
         # first k, the positive ones
         pairs = list(zip(top[:, b].ravel().tolist(),
-                         top_h[:, b].ravel().tolist()))
+                         cols["top_h"][:, b].ravel().tolist()))
         s.scar_top = [pairs[i:i + k] for i, k in zip(
-            range(0, len(pairs), top.shape[2]), positive[:, b].tolist())]
+            range(0, len(pairs), top.shape[2]),
+            cols["positive"][:, b].tolist())]
         # the hash of each step's active set bytes, then its action byte
         rows = np.concatenate([active[:, b].view(np.uint8),
                                actions[:, b, None]], axis=1)
         s.traj_hash = hashlib.sha256(rows.tobytes()).hexdigest()
         series.append(s)
-    return batch, fields, series
+    return series
 
 
 def run_rsd_episodes(config: RsdConfig, stimuli, policies,
@@ -336,15 +336,13 @@ def run_rsd_episodes(config: RsdConfig, stimuli, policies,
     fields = HarmFields(G=np.tile(fields.G, (len(stimuli), 1)),
                         H=np.tile(fields.H, (len(stimuli), 1)),
                         params=fields.params)
-    hops, _ = stimulus_rows(graph, stimuli, env_params)
     phases = [{} for _ in stimuli]
 
     def phase(name, batch, fields, deform, stream, steps):
         rngs = [substream(seed, stream) for seed in episode_seeds]
-        batch, fields, series = _run_phase(batch, policies, graph, fields,
-                                           deform, rngs, steps, env_params,
-                                           hops)
-        for ph, s in zip(phases, series):
+        batch, fields, cols = step_phase(batch, policies, graph, fields,
+                                         deform, rngs, steps, env_params)
+        for ph, s in zip(phases, _phase_series(cols, graph)):
             ph[name] = s
         return batch, fields
 

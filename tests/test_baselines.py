@@ -252,10 +252,32 @@ def test_train_policy_runs_only_the_episodes_it_needs(monkeypatch, steps,
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("method", ["rapo", "pm_window", "ss"])
+@pytest.mark.parametrize("steps", [1, 250])
+def test_train_policy_runs_each_episode_as_one_phase_loop_call(monkeypatch,
+                                                               steps):
+    # each training episode is one call of the RSD phase loop: one copy
+    # for episode_len steps, ceil(steps / episode_len) calls in all
+    from replaylab import baselines, rsd
+    calls = []
+
+    def counted(batch, policies, graph, fields, deform, rngs, n, env_params):
+        calls.append((len(policies), batch.active.shape[0], n))
+        return rsd.step_phase(batch, policies, graph, fields, deform, rngs,
+                              n, env_params)
+
+    monkeypatch.setattr(baselines, "step_phase", counted)
+    cfg = load_config(desk_preset(training={"enabled": True, "steps": steps,
+                                            "episode_len": 20}))
+    baselines.train_policy(method_config("rapo"), cfg.graph(1), cfg)
+    assert calls == [(1, 1, 20)] * -(-steps // 20)
+
+
+@pytest.mark.parametrize("method", ["rapo", "pm_window", "ss", "ge", "dr"])
 def test_train_policy_weights_pinned(method):
     # 400 steps on desk graph 1 (20 episodes of 20 steps); a change meant to
-    # preserve behaviour must leave the trained weights unchanged
+    # preserve behaviour must leave the trained weights unchanged, bit for
+    # bit. The methods cover every cost wiring (rapo, none, instant,
+    # delayed_trace) and both feature modes, with and without a window
     from replaylab.baselines import train_policy
     path = os.path.join(os.path.dirname(__file__), "pinned_train_weights.json")
     with open(path, encoding="utf-8") as fh:
@@ -263,7 +285,7 @@ def test_train_policy_weights_pinned(method):
     cfg = load_config(desk_preset(training={"enabled": True, "steps": 400,
                                             "episode_len": 20}))
     policy = train_policy(method_config(method), cfg.graph(1), cfg)
-    np.testing.assert_allclose(policy.weights, pinned, rtol=1e-12, atol=0)
+    assert policy.weights.tolist() == pinned
 
 
 def test_train_policy_stops_when_weights_diverge(monkeypatch, tmp_path,

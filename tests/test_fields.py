@@ -133,6 +133,23 @@ def test_summary_top_regions():
     assert top == [[1, 3.0], [4, 2.0], [2, 1.0]]
 
 
+@pytest.mark.parametrize("shape", [(50,), (7, 50), (3, 6)])
+def test_top_scars_match_take_along_axis(shape):
+    # the flat-index gather returns what take_along_axis does, with ties
+    # among the positive H values broken by region order
+    rng = substream(0, 41, len(shape))
+    h = rng.integers(0, 4, size=shape) * 0.25      # ties and zeros
+    fields = HarmFields(G=np.zeros(shape), H=h, params=FieldParams())
+    top, values, count = fields.top_scars()
+    want = np.argsort(-h, axis=-1, kind="stable")[..., :10]
+    want_values = np.take_along_axis(h, want, axis=-1)
+    assert np.array_equal(top, want)
+    assert values.shape == want_values.shape
+    assert values.tobytes() == want_values.tobytes()
+    assert np.array_equal(count, (want_values > 0).sum(axis=-1))
+    assert (values[..., 1:] <= values[..., :-1]).all()
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         FieldParams(lam=0.0)
