@@ -25,15 +25,16 @@ def replay_ratios(record: RsdEpisodeRecord):
     reach mass, and total sensitive mass."""
     exp = record.phases["exposure"]
     rep = record.phases["replay"]
-    rag = max(rep.reach) / (max(exp.reach) + EPS)
-    auc_r = sum(rep.reach) / (sum(exp.reach) + EPS)
-    sm_r = sum(rep.sens) / (sum(exp.sens) + EPS)
+    rag = int(rep.reach.max()) / (int(exp.reach.max()) + EPS)
+    auc_r = int(rep.reach.sum()) / (int(exp.reach.sum()) + EPS)
+    sm_r = int(rep.sens.sum()) / (int(exp.sens.sum()) + EPS)
     return rag, auc_r, sm_r
 
 
 def discounted_return(rewards, gamma: float) -> float:
     acc = 0.0
-    for r in reversed(rewards):
+    # in Python floats, last step first: the report's bits depend on it
+    for r in reversed(np.asarray(rewards, dtype=float).tolist()):
         acc = r + gamma * acc
     return acc
 
@@ -54,16 +55,16 @@ def action_shift_distance(record: RsdEpisodeRecord) -> float:
     n = min(len(exp), len(rep))
     if n == 0:
         return 0.0
-    tv = 0.5 * np.abs(np.array(exp[:n], dtype=float)
-                      - np.array(rep[:n], dtype=float)).sum(axis=1)
+    tv = 0.5 * np.abs(np.asarray(exp[:n], dtype=float)
+                      - np.asarray(rep[:n], dtype=float)).sum(axis=1)
     # summed in step order (np.sum's pairwise order moves the last bits)
     return float(np.add.accumulate(tv)[-1]) / n
 
 
 def odds_ratio_series(record: RsdEpisodeRecord, phase: str = "replay"):
     """Stepwise (p/q)/(p0/q0); steps with p0 = 0 are skipped and counted."""
-    p, q, p0, q0 = np.array(record.phases[phase].odds,
-                            dtype=float).reshape(-1, 4).T
+    p, q, p0, q0 = np.asarray(record.phases[phase].odds,
+                              dtype=float).reshape(-1, 4).T
     keep = (p0 > 0.0) & (q0 > 0.0) & (q > 0.0)
     ratios = (p[keep] / q[keep]) / (p0[keep] / q0[keep])
     return ratios.tolist(), int(keep.size - keep.sum())
@@ -72,7 +73,7 @@ def odds_ratio_series(record: RsdEpisodeRecord, phase: str = "replay"):
 def containment_radius(record: RsdEpisodeRecord, phase: str) -> int:
     """Maximum hop distance from the stimulus seeds reached in the phase."""
     radius = record.phases[phase].radius
-    return max(radius) if radius else 0
+    return int(radius.max()) if radius.size else 0
 
 
 def episode_metrics(record: RsdEpisodeRecord, ge_reference: float | None = None) -> dict:
@@ -94,8 +95,24 @@ def episode_metrics(record: RsdEpisodeRecord, ge_reference: float | None = None)
 
 
 def welch_ttest(sample_a, sample_b):
-    """Two-sample Welch's t-test (unequal variance). Returns (t, p)."""
-    from scipy import stats  # deferred: it takes about a second to import
-    res = stats.ttest_ind(np.asarray(sample_a, dtype=float),
-                          np.asarray(sample_b, dtype=float), equal_var=False)
-    return float(res.statistic), float(res.pvalue)
+    """Two-sample Welch's t-test (unequal variance). Returns (t, p), bit for
+    bit as `scipy.stats.ttest_ind(a, b, equal_var=False)` computes them,
+    with NaN for an empty sample or a sample of one."""
+    # deferred: scipy.special takes about 0.4 s to import, and
+    # scipy.stats, which `ttest_ind` would need, about a second more
+    from scipy.special import stdtr
+    a = np.asarray(sample_a, dtype=float)
+    b = np.asarray(sample_b, dtype=float)
+    if a.size == 0 or b.size == 0:
+        return float("nan"), float("nan")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ttest_ind's arithmetic: the mean square deviation times n/(n-1),
+        # and df 1 where it is undefined (both variances zero)
+        vn1, vn2 = (np.mean((x - np.mean(x, axis=0, keepdims=True)) ** 2, axis=0)
+                    * (np.float64(x.size) / (x.size - 1)) / x.size
+                    for x in (a, b))
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (a.size - 1)
+                                 + vn2 ** 2 / (b.size - 1))
+        df = 1.0 if np.isnan(df) else df
+        t = (np.mean(a, axis=0) - np.mean(b, axis=0)) / np.sqrt(vn1 + vn2)
+    return float(t), float(2 * stdtr(df, -np.abs(t)))

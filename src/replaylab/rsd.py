@@ -13,7 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -66,35 +66,136 @@ class RsdConfig:
                               .encode()).hexdigest()[:16]
 
 
+# a phase's schema-1 keys, in the order a record file lists them; all but
+# the last two are a column each
+_SCHEMA_KEYS = ("reach", "sens", "rewards", "actions", "action_dists", "odds",
+                "radius", "g_sum", "h_sum", "scar_top", "traj_hash")
+_COLUMN_KEYS = _SCHEMA_KEYS[:-2]
+_FLOAT_KEYS = ("rewards", "action_dists", "odds", "g_sum", "h_sum")
+_TOP = 10           # scars a step keeps, as `HarmFields.top_scars` does
+
+
 @dataclass
 class PhaseSeries:
-    """Per-step series of one phase."""
+    """One phase of one copy as numpy columns, one row per step: int64
+    `reach`, `sens`, `actions` and running containment `radius`; float64
+    `rewards` and total trace and scar mass `g_sum` and `h_sum`; float64
+    (T, 3) `action_dists` and (T, 4) `odds` (p, q, p0, q0); and each step's
+    top-10 scars, (T, 10) int64 `scar_regions` and float64 `scar_h`, of
+    which the first `scar_count` are the positive ones.
 
-    reach: list = field(default_factory=list)
-    sens: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    action_dists: list = field(default_factory=list)  # 3 probabilities per step
-    odds: list = field(default_factory=list)      # (p, q, p0, q0) per step
-    radius: list = field(default_factory=list)    # running containment radius
-    g_sum: list = field(default_factory=list)     # total trace mass per step
-    h_sum: list = field(default_factory=list)     # total scar mass per step
-    scar_top: list = field(default_factory=list)  # top-10 (region, H) per step
-    traj_hash: str = ""
+    `to_dict` and `to_json` give the schema-1 form: per-step lists, with
+    `scar_top` as each step's positive [region, H] pairs.
+    """
+
+    reach: np.ndarray
+    sens: np.ndarray
+    rewards: np.ndarray
+    actions: np.ndarray
+    action_dists: np.ndarray
+    odds: np.ndarray
+    radius: np.ndarray
+    g_sum: np.ndarray
+    h_sum: np.ndarray
+    scar_regions: np.ndarray
+    scar_h: np.ndarray
+    scar_count: np.ndarray
+    traj_hash: str
+
+    def scar_pairs(self, step: int) -> list:
+        """Step `step`'s positive scars as [region, H] pairs."""
+        k = int(self.scar_count[step])
+        return [list(pair) for pair in zip(self.scar_regions[step, :k].tolist(),
+                                           self.scar_h[step, :k].tolist())]
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {**{k: getattr(self, k).tolist() for k in _COLUMN_KEYS},
+                "scar_top": [self.scar_pairs(t) for t in range(len(self.reach))],
+                "traj_hash": self.traj_hash}
+
+    def to_json(self) -> str:
+        """`json.dumps(self.to_dict())`, written from the columns."""
+        keep = np.arange(self.scar_regions.shape[1]) < self.scar_count[:, None]
+        columns = [getattr(self, k) for k in _COLUMN_KEYS]
+        *texts, regions, hs = _json_texts(
+            columns + [self.scar_regions[keep], self.scar_h[keep]])
+        texts = [_json_list(t, c.shape) for t, c in zip(texts, columns)]
+        pairs = regions + hs            # interleaved: region, H, region, ...
+        pairs[::2], pairs[1::2] = regions, hs
+        texts += [_json_rows(pairs, self.scar_count.tolist(), "[{}, {}]"),
+                  json.dumps(self.traj_hash)]
+        return "{" + ", ".join(f'"{k}": {text}' for k, text
+                               in zip(_SCHEMA_KEYS, texts)) + "}"
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseSeries":
-        series = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
-        per_step = [v for k, v in vars(series).items() if k != "traj_hash"]
-        if not series.reach or {len(v) for v in per_step} != {len(series.reach)}:
+        """Check a schema-1 phase's lists, then build its columns; raise
+        ValueError if they are malformed."""
+        lists = {k: d[k] for k in _SCHEMA_KEYS}
+        per_step = [v for k, v in lists.items() if k != "traj_hash"]
+        if not lists["reach"] or {len(v) for v in per_step} != {len(lists["reach"])}:
             raise ValueError("a phase's per-step series must be nonempty and equally long")
         for name, (what, ok) in _SERIES_TYPES.items():
-            if not ok(getattr(series, name)):
+            if not ok(lists[name]):
                 raise ValueError(f"a phase's {name} series must hold {what}")
-        return series
+        scars = lists["scar_top"]
+        count = np.array(list(map(len, scars)), dtype=np.int64)
+        keep = np.arange(_TOP) < count[:, None]
+        regions = np.zeros((len(scars), _TOP), dtype=np.int64)
+        hs = np.zeros((len(scars), _TOP))
+        pairs = list(chain.from_iterable(scars))
+        if pairs:
+            regions[keep], hs[keep] = zip(*pairs)
+        return cls(**{k: np.array(lists[k], dtype=np.float64
+                                  if k in _FLOAT_KEYS else np.int64)
+                      for k in _COLUMN_KEYS},
+                   scar_regions=regions, scar_h=hs, scar_count=count,
+                   traj_hash=lists["traj_hash"])
+
+
+def _json_texts(arrays: list) -> list:
+    """`json.dumps`'s text of every entry of each integer or float64 array,
+    one list per array, in row-major order. Each distinct value is formatted
+    once, by `int.__repr__` or `float.__repr__` as `json.dumps` formats it:
+    floats are told apart by bit pattern, so -0.0 keeps its sign, and the
+    non-finite ones read NaN, Infinity and -Infinity."""
+    out = [None] * len(arrays)
+    for floats in (True, False):
+        group = [i for i, a in enumerate(arrays)
+                 if (a.dtype.kind == "f") == floats]
+        if not group:
+            continue
+        values = np.concatenate([arrays[i].ravel() for i in group],
+                                dtype=np.float64 if floats else np.int64)
+        if floats:
+            keys, where = np.unique(values.view(np.uint64), return_inverse=True)
+            keys = keys.view(np.float64)
+            texts = list(map(float.__repr__, keys.tolist()))
+            for i in np.flatnonzero(~np.isfinite(keys)).tolist():
+                texts[i] = json.dumps(float(keys[i]))
+        else:
+            keys, where = np.unique(values, return_inverse=True)
+            texts = list(map(int.__repr__, keys.tolist()))
+        flat = np.array(texts, dtype=object)[where].tolist()
+        start = 0
+        for i in group:
+            end = start + arrays[i].size
+            out[i], start = flat[start:end], end
+    return out
+
+
+def _json_rows(texts: list, lengths: list, item: str = "{}") -> str:
+    """The JSON list whose row i holds the next `lengths[i]` items, each
+    `item` filled in from the next of `texts`."""
+    rows = {k: "[" + ", ".join([item] * k) + "]" for k in set(lengths)}
+    return "[" + ", ".join([rows[k] for k in lengths]).format(*texts) + "]"
+
+
+def _json_list(texts: list, shape: tuple) -> str:
+    """The JSON list of a (T,) or (T, k) array from its entries' texts."""
+    if len(shape) == 1:
+        return "[" + ", ".join(texts) + "]"
+    return _json_rows(texts, [shape[1]] * shape[0])
 
 
 def _ints(v) -> bool:
@@ -189,8 +290,15 @@ class RsdEpisodeRecord:
         return rec
 
     def to_json(self) -> str:
-        """The record as one line of a record file, without its newline."""
-        return json.dumps(self.to_dict(), check_circular=False)
+        """The record as one line of a record file, without its newline:
+        `json.dumps(self.to_dict())` byte for byte, with each phase written
+        from its columns."""
+        fields = {"schema": RECORD_SCHEMA, **vars(self)}
+        texts = {k: json.dumps(v, check_circular=False)
+                 for k, v in fields.items() if k != "phases"}
+        texts["phases"] = "{" + ", ".join(
+            f"{json.dumps(k)}: {s.to_json()}" for k, s in self.phases.items()) + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {texts[k]}" for k in fields) + "}"
 
     @classmethod
     def from_json(cls, line: str) -> "RsdEpisodeRecord":
@@ -205,16 +313,12 @@ def scar_evolution(record: "RsdEpisodeRecord") -> list[dict]:
     trace and scar mass, and the ten highest-scar regions at that step.
     """
     rows = []
-    step = 0
     for phase in ("exposure", "decay", "replay"):
-        series = record.phases[phase]
-        for i in range(len(series.g_sum)):
-            rows.append({
-                "step": step, "phase": phase,
-                "g_sum": series.g_sum[i], "h_sum": series.h_sum[i],
-                "top_scar_regions": series.scar_top[i],
-            })
-            step += 1
+        d = record.phases[phase].to_dict()
+        rows += [{"step": len(rows) + i, "phase": phase, "g_sum": g,
+                  "h_sum": h, "top_scar_regions": top}
+                 for i, (g, h, top) in enumerate(zip(d["g_sum"], d["h_sum"],
+                                                     d["scar_top"]))]
     return rows
 
 
@@ -285,27 +389,24 @@ def step_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
 
 
 def _phase_series(cols: dict, graph: DiffusionGraph) -> list:
-    """One PhaseSeries per copy from `step_phase`'s columns."""
-    active, actions, top = cols["active"], cols["actions"], cols["top"]
+    """One PhaseSeries per copy from `step_phase`'s columns: copy b's slices
+    of them, which leave the (T, B, N) active sets behind."""
+    active, actions = cols["active"], cols["actions"]
     per_step = {"reach": active.sum(axis=2),
                 "sens": (active & graph.sensitive).sum(axis=2),
-                **{k: cols[k] for k in ("rewards", "actions", "action_dists",
-                                        "odds", "radius", "g_sum", "h_sum")}}
+                "actions": actions.astype(np.int64),
+                "scar_regions": cols["top"], "scar_h": cols["top_h"],
+                "scar_count": cols["positive"],
+                **{k: cols[k] for k in ("rewards", "action_dists", "odds",
+                                        "radius", "g_sum", "h_sum")}}
     series = []
     for b in range(active.shape[1]):
-        s = PhaseSeries(**{k: v[:, b].tolist() for k, v in per_step.items()})
-        # the copy's (region, H) pairs in one zip, then each step's
-        # first k, the positive ones
-        pairs = list(zip(top[:, b].ravel().tolist(),
-                         cols["top_h"][:, b].ravel().tolist()))
-        s.scar_top = [pairs[i:i + k] for i, k in zip(
-            range(0, len(pairs), top.shape[2]),
-            cols["positive"][:, b].tolist())]
         # the hash of each step's active set bytes, then its action byte
         rows = np.concatenate([active[:, b].view(np.uint8),
                                actions[:, b, None]], axis=1)
-        s.traj_hash = hashlib.sha256(rows.tobytes()).hexdigest()
-        series.append(s)
+        series.append(PhaseSeries(
+            **{k: v[:, b] for k, v in per_step.items()},
+            traj_hash=hashlib.sha256(rows.tobytes()).hexdigest()))
     return series
 
 
@@ -375,8 +476,8 @@ def run_rsd_episodes(config: RsdConfig, stimuli, policies,
 
     # a phase's closing field summary is its series' last entry
     snapshots = [{"start": start, **{f"after_{name}": {
-        "g_sum": s.g_sum[-1], "h_sum": s.h_sum[-1],
-        "top_scar_regions": [list(pair) for pair in s.scar_top[-1]]}
+        "g_sum": float(s.g_sum[-1]), "h_sum": float(s.h_sum[-1]),
+        "top_scar_regions": s.scar_pairs(-1)}
         for name, s in ph.items()}} for ph in phases]
     configs = [replace(config, z=z) for z in stimuli]
     return [RsdEpisodeRecord(

@@ -96,7 +96,8 @@ def check_no_go(deform: DeformationSpec, policy: Policy | None = None, *,
         rec.phases["replay"].traj_hash == rec.phases["exposure"].traj_hash
         for rec in episodes("paired"))
     exp_stats, rep_stats = zip(*[
-        (sum(rec.phases["exposure"].sens), sum(rec.phases["replay"].sens))
+        (int(rec.phases["exposure"].sens.sum()),
+         int(rec.phases["replay"].sens.sum()))
         for rec in episodes("independent")])
     from scipy import stats  # deferred: it takes about a second to import
     ks = stats.ks_2samp(exp_stats, rep_stats)

@@ -17,7 +17,6 @@ from replaylab.graph_env import (Action, EnvParams, env_step, generate_graph,
                                  initial_state, nominal_rollouts)
 from replaylab.harm_memory import FieldParams, HarmFields
 from replaylab.rng import substream
-from replaylab.rsd import PhaseSeries
 
 
 def test_registry_covers_all_method_ids():
@@ -42,15 +41,16 @@ def test_desk_counterfactual_replays_ge_and_splits_from_rapo_at_replay():
         mcfg = method_config(method)
         runs[method] = run_method_episodes(
             cfg, mcfg, _checkpoint(mcfg, graph, cfg, {}), graph)
-    per_step = [f.name for f in dataclasses.fields(PhaseSeries)
-                if f.name != "traj_hash"]
+    def lists(rec, phases=("exposure", "decay", "replay")):
+        return [rec.phases[p].to_dict() for p in phases]
+
     for ge, rapo, off in zip(runs["ge"], runs["rapo"], runs["rapo_off_rep"]):
-        assert off.phases == ge.phases
+        assert lists(off) == lists(ge)
         assert off.field_snapshots == ge.field_snapshots
-        assert [rapo.phases[p] for p in ("exposure", "decay")] \
-            == [off.phases[p] for p in ("exposure", "decay")]
-        steps = [list(zip(*(getattr(r.phases["replay"], n) for n in per_step)))
-                 for r in (rapo, off)]
+        assert lists(rapo, ("exposure", "decay")) \
+            == lists(off, ("exposure", "decay"))
+        steps = [list(zip(*(v for k, v in d.items() if k != "traj_hash")))
+                 for d in (r.phases["replay"].to_dict() for r in (rapo, off))]
         assert [a == b for a, b in zip(*steps)].index(False) == 1
 
 
@@ -389,3 +389,36 @@ def test_shield_um_tuning_trace_kept_out_of_report(tmp_path):
     for name in ("report.csv", "manifest.json"):
         text = (out / name).read_text()
         assert "diagnostic" not in text and "achieved" not in text
+
+
+def test_suite_record_lines_round_trip_and_score_alike(tmp_path, monkeypatch):
+    # every record line a shrunk desk suite writes reads back to a record
+    # that writes the same line, and scores as the record it was written
+    # from, metric by metric
+    from replaylab import baselines
+    from replaylab.metrics import episode_metrics
+    from replaylab.rsd import RsdEpisodeRecord
+    written = []
+
+    def keep(out_dir, run_id, method, graph_seed, records):
+        written.extend((method, r) for r in records)
+        write(out_dir, run_id, method, graph_seed, records)
+
+    write = baselines._write_records
+    monkeypatch.setattr(baselines, "_write_records", keep)
+    cfg = load_config(desk_preset(graph={"seeds": [1]}, episodes=2,
+                                  rsd={"t_exp": 20, "t_decay": 5, "t_rep": 20}))
+    run_method_suite(cfg, str(tmp_path / "run"))
+    assert len(written) == 8
+    assert any(r.phases["replay"].scar_count.any() for _, r in written)
+    for method, rec in written:
+        path = tmp_path / "run" / "run" / method / "1" / f"{rec.episode_seed}.jsonl"
+        line = path.read_text(encoding="utf-8")
+        assert line.endswith("\n") and line.count("\n") == 1
+        back = RsdEpisodeRecord.from_json(line[:-1])
+        assert back.to_json() == line[:-1] == rec.to_json()
+        ours, theirs = episode_metrics(rec, 2.0), episode_metrics(back, 2.0)
+        assert list(ours) == list(theirs)
+        for key, value in ours.items():
+            assert type(theirs[key]) is type(value)
+            assert np.array([theirs[key]]).tobytes() == np.array([value]).tobytes()

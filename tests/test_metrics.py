@@ -18,16 +18,19 @@ from replaylab.rsd import PhaseSeries, RsdEpisodeRecord
 
 def _series(reach=(), sens=(), rewards=(), dists=(), odds=(), radius=()):
     n = max(map(len, (reach, sens, rewards, dists, odds, radius)), default=0)
+
+    def col(v, default, dtype=np.int64):
+        return np.array(list(v) or [default] * n, dtype=dtype).reshape(
+            (n,) + np.shape(default))
+
     return PhaseSeries(
-        reach=list(reach) or [0] * n,
-        sens=list(sens) or [0] * n,
-        rewards=list(rewards) or [0.0] * n,
-        actions=[1] * n,
-        action_dists=[list(d) for d in dists] or [[0.0, 1.0, 0.0]] * n,
-        odds=[tuple(o) for o in odds] or [(0.0, 1.0, 0.0, 1.0)] * n,
-        radius=list(radius) or [0] * n,
-        g_sum=[0.0] * n, h_sum=[0.0] * n, scar_top=[[]] * n,
-        traj_hash="x",
+        reach=col(reach, 0), sens=col(sens, 0),
+        rewards=col(rewards, 0.0, float), actions=col((), 1),
+        action_dists=col(dists, [0.0, 1.0, 0.0], float),
+        odds=col(odds, [0.0, 1.0, 0.0, 1.0], float), radius=col(radius, 0),
+        g_sum=col((), 0.0, float), h_sum=col((), 0.0, float),
+        scar_regions=np.zeros((n, 10), dtype=np.int64),
+        scar_h=np.zeros((n, 10)), scar_count=col((), 0), traj_hash="x",
     )
 
 
@@ -167,10 +170,68 @@ def test_welch_ttest_directions():
     assert p_same > 0.05
 
 
+def _ttest_samples():
+    # seeded pairs of samples: n = 1, constant and equal samples, ties, and
+    # normal draws of assorted sizes and spreads
+    rng = np.random.default_rng(22)
+    cases = [([1.0], [2.0, 3.0]), ([5.0], [5.0]), ([1.0, 1.0], [2.0, 2.0]),
+             ([0.25] * 4, [0.25] * 7), ([0.3] * 7, [0.1, 0.5]), ([2.0], [2.0] * 3)]
+    for i in range(400):
+        a, b = (rng.normal(rng.normal(), rng.uniform(0.01, 3), n)
+                for n in rng.integers(1, 40, size=2))
+        if i % 4 == 1:
+            a = np.full(a.size, a[0])
+        elif i % 4 == 2:
+            a = rng.integers(0, 3, a.size).astype(float)
+        cases.append((a.tolist(), b.tolist()))
+    return cases
+
+
+def test_welch_ttest_equals_scipy_stats_bit_for_bit():
+    import warnings
+    from scipy import stats
+    for a, b in _ttest_samples():
+        with warnings.catch_warnings():
+            # scipy warns on n = 1 and on near-constant samples
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = stats.ttest_ind(np.array(a), np.array(b), equal_var=False)
+        got = welch_ttest(a, b)
+        assert np.array(got).tobytes() == np.array(
+            [ref.statistic, ref.pvalue]).tobytes(), (a, b)
+        assert all(type(v) is float for v in got)
+
+
+def test_run_and_report_leave_scipy_stats_unloaded(tmp_path):
+    # `replaylab run` and `replaylab report` write Welch p-values against
+    # pm_st without importing scipy.stats
+    import csv
+    import replaylab
+    src = os.path.dirname(os.path.dirname(replaylab.__file__))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "graph": {"nodes": 50, "seeds": [1]}, "episodes": 3,
+        "rsd": {"t_exp": 10, "t_decay": 5, "t_rep": 10},
+        "methods": ["ge", "rapo", "pm_st"]}))
+    out, report = str(tmp_path / "out"), str(tmp_path / "re.csv")
+    code = ("import sys; from replaylab.cli import main; "
+            f"assert main(['run', '--config', {str(cfg)!r}, "
+            f"'--out-dir', {out!r}]) == 0; "
+            f"assert main(['report', '--run-dir', {out!r}, "
+            f"'--out', {report!r}]) == 0; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    with open(report, newline="") as fh:
+        rows = {r["method"]: r for r in csv.DictReader(fh)}
+    assert rows["rapo"]["welch_p_vs_pmst"] and rows["ge"]["welch_p_vs_pmst"]
+
+
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only the Welch test and
-    # the no-go check load it, when they run. Importing the package and
-    # loading a config (every entry point's set-up) loads no scipy module
+    # scipy.stats takes about a second to import; only the no-go check
+    # loads it, and the Welch test loads scipy.special, when they run.
+    # Importing the package and loading a config (every entry point's
+    # set-up) loads no scipy module
     import replaylab
     src = os.path.dirname(os.path.dirname(replaylab.__file__))
     code = ("import sys, replaylab; "

@@ -8,6 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from replaylab.baselines import ShieldedPolicy
 from replaylab.config import ShieldParams
@@ -55,7 +58,8 @@ def test_paired_streams_bit_identical_without_deformation():
     cfg = RsdConfig(t_exp=40, t_decay=10, t_rep=40, rng_mode="paired")
     rec = _run(cfg)
     assert rec.phases["replay"].traj_hash == rec.phases["exposure"].traj_hash
-    assert rec.phases["replay"].reach == rec.phases["exposure"].reach
+    assert np.array_equal(rec.phases["replay"].reach,
+                          rec.phases["exposure"].reach)
 
 
 def test_paired_with_field_reset_matches_under_deformation():
@@ -520,3 +524,73 @@ def test_series_type_checks_match_elementwise_predicates(monkeypatch):
     assert [_outcome(d) for d in cases] == fast
     assert 500 < fast.count("accepted") < 2500
     assert len(set(fast)) > 10
+
+
+# floats json.dumps spells in each of its forms: signed zeros, subnormals,
+# the exponent forms of float.__repr__ on both sides of its switch, the
+# extremes and the non-finite
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-05,
+                0.0001, 1.5e-05, 1e+16, 9999999999999998.0, 1.7976931348623157e+308,
+                -1e+300, 0.1, float("nan"), float("inf"), -float("inf")]
+_EDGE_INTS = [0, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 15, 49]
+
+
+def _written_record(phase: PhaseSeries) -> RsdEpisodeRecord:
+    return RsdEpisodeRecord(
+        config={"gamma": 0.5, "z": -0.0}, graph_seed=3, episode_seed=2 ** 62,
+        phases={"exposure": phase, "decay": phase, "replay": phase},
+        field_snapshots={"start": {"g_sum": 1e-05, "top_scar_regions": []}},
+        policy_hash="h", counterfactual=True)
+
+
+@st.composite
+def _phases(draw):
+    steps = draw(st.integers(0, 6))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    ints = st.one_of(st.sampled_from(_EDGE_INTS),
+                     st.integers(-2 ** 63, 2 ** 63 - 1))
+
+    def column(dtype, elements, *shape):
+        return draw(arrays(dtype, (steps, *shape), elements=elements))
+
+    return PhaseSeries(
+        reach=column(np.int64, ints), sens=column(np.int64, ints),
+        rewards=column(np.float64, floats), actions=column(np.int64, ints),
+        action_dists=column(np.float64, floats, 3),
+        odds=column(np.float64, floats, 4), radius=column(np.int64, ints),
+        g_sum=column(np.float64, floats), h_sum=column(np.float64, floats),
+        scar_regions=column(np.int64, ints, 10),
+        scar_h=column(np.float64, floats, 10),
+        scar_count=column(np.int64, st.sampled_from([0, 10, 1, 3, 9])),
+        traj_hash=draw(st.text(max_size=4)))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(phase=_phases())
+def test_record_writer_equals_json_dumps(phase):
+    # the column writer gives json.dumps's bytes on drawn columns
+    rec = _written_record(phase)
+    assert rec.to_json() == json.dumps(rec.to_dict())
+
+
+def test_record_writer_spells_every_edge_value_as_json_dumps():
+    # each edge value in every float column, int64's extremes in every int
+    # column, and steps with 0 and with 10 scars
+    steps = len(_EDGE_FLOATS)
+    f = np.array(_EDGE_FLOATS)
+    i = np.resize(np.array(_EDGE_INTS, dtype=np.int64), steps)
+    phase = PhaseSeries(
+        reach=i, sens=i[::-1].copy(), rewards=f, actions=i, radius=i,
+        action_dists=np.stack([f, f[::-1], np.roll(f, 1)], axis=1),
+        odds=np.stack([f, f[::-1], np.roll(f, 2), np.roll(f, 3)], axis=1),
+        g_sum=f[::-1].copy(), h_sum=np.roll(f, 5),
+        scar_regions=np.resize(i, (steps, 10)),
+        scar_h=np.resize(f, (steps, 10)),
+        scar_count=np.resize(np.array([0, 10, 4], dtype=np.int64), steps),
+        traj_hash="x")
+    rec = _written_record(phase)
+    text = rec.to_json()
+    assert text == json.dumps(rec.to_dict())
+    for spelling in ("-0.0", "5e-324", "1e-05", "0.0001", "1e+16", "NaN",
+                     "-Infinity", str(-2 ** 63), str(2 ** 63 - 1)):
+        assert spelling in text
