@@ -4,31 +4,29 @@ During Exposure the cascade crosses the sensitive arc and delayed harm
 scars it. At Replay the observable state and the agent are reset but the
 scar persists: with the deformation on, the replayed cascade stalls at the
 scarred arc; with it switched off at replay only (the counterfactual), the
-same checkpoint re-expresses the full cascade.
+same checkpoint re-expresses the full cascade. The episode runs the desk
+preset's settings on its graph seed 1.
 """
 
-from replaylab import (DeformationSpec, FieldParams, HarmFields, Policy,
-                       RsdConfig, generate_graph, run_rsd_episode)
-from replaylab.graph_env import EnvParams
+from dataclasses import replace
+
+from replaylab import (HarmFields, Policy, desk_preset, load_config,
+                       run_rsd_episode)
 from replaylab.metrics import episode_metrics
 
 
 def run(replay_deformation):
-    graph = generate_graph(50, 3.0, seed=1, locality=1.0,
-                           sens_style="arc", sens_fraction=0.24)
-    cfg = RsdConfig(t_exp=120, t_decay=40, t_rep=120,
-                    replay_deformation=replay_deformation, gamma=0.8)
-    rec = run_rsd_episode(
-        cfg,
+    cfg = load_config(desk_preset())
+    graph = cfg.graph(1)
+    return run_rsd_episode(
+        replace(cfg.rsd_config, replay_deformation=replay_deformation),
         Policy(kind="scripted", scripted_action=1).freeze(),
         graph,
-        HarmFields.zeros(50, FieldParams(alpha=2.0, eta=0.3, delay=25)),
-        DeformationSpec(psi_min=0.001),
+        HarmFields.zeros(graph.node_count, cfg.field_params),
+        cfg.deform("full", graph),
         episode_seed=7,
-        env_params=EnvParams(k_seed=6, seed_pool="core", refire=False,
-                             reward="log"),
+        env_params=cfg.env_params,
     )
-    return rec
 
 
 def main():

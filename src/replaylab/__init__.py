@@ -13,8 +13,8 @@ from .deformation import (DeformationSpec, apply_mode, conductance,
                           gate_edge_prob, reweight_categorical)
 from .errors import ConfigError, ProtocolError
 from .graph_env import (Action, DiffusionGraph, EnvParams, EnvState,
-                        StepResult, env_step, generate_graph, initial_state,
-                        observe, stimulus_seed_set)
+                        env_step, generate_graph, initial_state, observe,
+                        stimulus_seed_set)
 from .harm_memory import FieldParams, HarmFields, attribute_harm, update_scar
 from .metrics import (action_shift_distance, containment_radius,
                       discounted_return, episode_metrics, odds_ratio_series,

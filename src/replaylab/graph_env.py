@@ -31,7 +31,6 @@ __all__ = [
     "EnvParams",
     "EnvState",
     "EnvBatch",
-    "StepResult",
     "BatchStep",
     "generate_graph",
     "check_graph_args",
@@ -488,23 +487,19 @@ def edge_gate_mask(graph: DiffusionGraph, spec: DeformationSpec) -> np.ndarray:
 
 
 @dataclass
-class StepResult:
-    state: EnvState
-    reward: float
-    harm: float
-    causal: np.ndarray              # A_{t-D} ∩ V_sens (region indices)
-    odds: tuple                     # (p, q, p0, q0) for sensitive entry this step
-
-
-@dataclass
 class BatchStep:
-    """The StepResult of B copies."""
+    """The result of one step of B copies."""
 
     batch: EnvBatch
     reward: np.ndarray              # float [B]
     harm: np.ndarray                # float [B]
     causal: np.ndarray              # flat indices b*N + r of A_{t-D} ∩ V_sens
     odds: np.ndarray                # (p, q, p0, q0) per copy: [B, 4]
+
+    @property
+    def state(self) -> EnvState:
+        """Copy 0 as an EnvState view (`batch.episode(0)`)."""
+        return self.batch.episode(0)
 
 
 def _frontier_edges(src: np.ndarray, dst: np.ndarray, active: np.ndarray,
@@ -625,18 +620,15 @@ def _pick(law, u: np.ndarray) -> np.ndarray:
 def env_step(state: EnvState, action: Action, graph: DiffusionGraph,
              fields: HarmFields, deform: DeformationSpec,
              rng: np.random.Generator,
-             params: EnvParams | None = None) -> StepResult:
+             params: EnvParams | None = None) -> BatchStep:
     """One environment step of one copy: `env_steps` at B=1, with the
-    copy's fields, [N] or (1, N).
+    copy's fields, [N] or (1, N). `.state` of the result is the new state.
 
     The RNG draw count depends only on (observable state, action, graph,
     stimulus), which makes paired-stream replay exact.
     """
-    step = env_steps(EnvBatch.of(state), [action], graph, fields, deform,
+    return env_steps(EnvBatch.of(state), [action], graph, fields, deform,
                      [rng], params)
-    return StepResult(state=step.batch.episode(0), reward=float(step.reward[0]),
-                      harm=float(step.harm[0]), causal=step.causal,
-                      odds=tuple(step.odds[0].tolist()))
 
 
 def env_steps(batch: EnvBatch, actions, graph: DiffusionGraph,

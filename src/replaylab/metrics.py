@@ -55,16 +55,14 @@ def action_shift_distance(record: RsdEpisodeRecord) -> float:
     n = min(len(exp), len(rep))
     if n == 0:
         return 0.0
-    tv = 0.5 * np.abs(np.asarray(exp[:n], dtype=float)
-                      - np.asarray(rep[:n], dtype=float)).sum(axis=1)
+    tv = 0.5 * np.abs(exp[:n] - rep[:n]).sum(axis=1)
     # summed in step order (np.sum's pairwise order moves the last bits)
     return float(np.add.accumulate(tv)[-1]) / n
 
 
 def odds_ratio_series(record: RsdEpisodeRecord, phase: str = "replay"):
     """Stepwise (p/q)/(p0/q0); steps with p0 = 0 are skipped and counted."""
-    p, q, p0, q0 = np.asarray(record.phases[phase].odds,
-                              dtype=float).reshape(-1, 4).T
+    p, q, p0, q0 = record.phases[phase].odds.T
     keep = (p0 > 0.0) & (q0 > 0.0) & (q > 0.0)
     ratios = (p[keep] / q[keep]) / (p0[keep] / q0[keep])
     return ratios.tolist(), int(keep.size - keep.sum())

@@ -20,9 +20,9 @@ import numpy as np
 
 from .deformation import DeformationSpec
 from .errors import ProtocolError
-from .graph_env import (N_STIMULI, Action, BatchStep, DiffusionGraph,
-                        EnvBatch, EnvParams, env_step, env_steps,
-                        frontier_mask, observe_batch, stimulus_rows)
+from .graph_env import (N_STIMULI, Action, DiffusionGraph, EnvBatch,
+                        EnvParams, env_step, env_steps, frontier_mask,
+                        observe_batch, stimulus_rows)
 from .harm_memory import HarmFields, attribute_harm, update_scar
 from .policies import Policy, act, field_features_batch
 from .rng import substream
@@ -365,12 +365,8 @@ def step_phase(batch: EnvBatch, policies, graph: DiffusionGraph,
                     fields, deform, frontier_mask(batch, graph, env_params.refire))
         actions, dists, feats = act(policies, obs, summary, rngs)
         if len(policies) == 1:
-            res = env_step(batch.episode(0), Action(actions[0]), graph,
-                           fields, deform, rngs[0], env_params)
-            step = BatchStep(batch=EnvBatch.of(res.state),
-                             reward=np.array([res.reward]),
-                             harm=np.array([res.harm]), causal=res.causal,
-                             odds=np.array([res.odds]))
+            step = env_step(batch.episode(0), Action(actions[0]), graph,
+                            fields, deform, rngs[0], env_params)
         else:
             step = env_steps(batch, actions, graph, fields, deform, rngs,
                              env_params)

@@ -328,7 +328,7 @@ def test_harmful_entry_prob_examples():
         # kernel undeformed, the step's frontier is node 0's out-edges
         odds = env_step(st, Action.MODERATE, g, _fields(g, delay=5), OFF,
                         substream(0, 14)).odds
-        return odds[:2]
+        return odds[0, :2]
 
     p_hit, q = entry_odds()
     assert p_hit == pytest.approx(1 - 0.7 * 0.5, abs=1e-12)
@@ -357,9 +357,45 @@ def test_harmful_entry_prob_monte_carlo():
         hits += after > before
     p_hat = hits / trials
     p_analytic = res_entry = env_step(
-        st, Action.MODERATE, g, fields, OFF, substream(9, 9)).odds[2]
+        st, Action.MODERATE, g, fields, OFF, substream(9, 9)).odds[0, 2]
     se = (p_analytic * (1 - p_analytic) / trials) ** 0.5
     assert abs(p_hat - p_analytic) <= 3 * max(se, 1e-3)
+
+
+@pytest.mark.parametrize("mode", ["full", "off"])
+def test_env_step_returns_its_one_copy_batch_step(mode):
+    # env_step's result is env_steps' step of its one-copy batch as is,
+    # and its state is a view of that batch's copy 0; the state stepped
+    # from has harm due and scarred fields that the full mode reads
+    g = _DESK.graph(1)
+    deform, params = _DESK.deform(mode, g), _DESK.env_params
+    fields = HarmFields(G=substream(0, 20).uniform(0, 2, 50),
+                        H=substream(0, 21).uniform(0, 2, 50),
+                        params=_DESK.field_params)
+    st = initial_state(g, 3, _DESK.field_params.delay)
+    walk = substream(0, 22)
+    for t in range(30):
+        st = env_step(st, Action(t % 3), g, fields, deform, walk, params).state
+    harms = []
+    for action in Action:
+        rng, twin = substream(1, int(action)), substream(1, int(action))
+        step = env_step(st, action, g, fields, deform, rng, params)
+        ref = env_steps(EnvBatch.of(st.copy()), [action], g, fields, deform,
+                        [twin], params)
+        for key in ("reward", "harm", "causal", "odds"):
+            got, want = getattr(step, key), getattr(ref, key)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for key in ("active", "newly"):
+            assert np.array_equal(getattr(step.batch, key),
+                                  getattr(ref.batch, key))
+        assert [a.tolist() for a in step.batch.delay_buffer] == [
+            a.tolist() for a in ref.batch.delay_buffer]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert np.shares_memory(step.state.active, step.batch.active[0])
+        assert step.state.delay_buffer is step.batch.delay_buffer
+        harms.append(float(step.harm[0]))
+    assert max(harms) > 0.0
 
 
 def test_reward_modes():

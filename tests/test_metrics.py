@@ -92,15 +92,16 @@ def _asd_per_step(record):
 
 
 def test_action_shift_distance_matches_per_step_loop():
-    # bit for bit on fuzzed records, unequal phase lengths and n = 0 included
+    # bit for bit on fuzzed records, unequal phase lengths and n = 0 included;
+    # the distributions are float64 (T, 3) columns, as a PhaseSeries holds
     rng = np.random.default_rng(11)
     for n_exp, n_rep in [(0, 0), (0, 4), (5, 0), (1, 1), (7, 3), (2, 9)] + [
             tuple(rng.integers(1, 400, size=2)) for _ in range(40)]:
         rec = _record(_series(reach=[1]), _series(reach=[1]))
         rec.phases["exposure"].action_dists = rng.dirichlet(
-            np.ones(3), size=n_exp).tolist()
+            np.ones(3), size=n_exp)
         rec.phases["replay"].action_dists = rng.dirichlet(
-            np.ones(3), size=n_rep).tolist()
+            np.ones(3), size=n_rep)
         assert action_shift_distance(rec) == _asd_per_step(rec)
 
 
